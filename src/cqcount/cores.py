@@ -42,6 +42,18 @@ def is_core(a: RelationalStructure, cfg: HomSearchConfig = DEFAULT_CONFIG) -> bo
     return _find_retraction(a, cfg, sorted(a.domain)) is None
 
 
+def _shrink(a: RelationalStructure, cfg: HomSearchConfig,
+            candidates: Sequence[str]) -> RelationalStructure:
+    """Retract onto images until no candidate can be dropped."""
+    current = a
+    while True:
+        present = set(current.domain)
+        h = _find_retraction(current, cfg, [v for v in candidates if v in present])
+        if h is None:
+            return current
+        current = induced_substructure(current, sorted(set(h.values())))
+
+
 def core_of_structure(a: RelationalStructure,
                       cfg: HomSearchConfig = DEFAULT_CONFIG,
                       element_order: Optional[Sequence[str]] = None) -> RelationalStructure:
@@ -54,14 +66,7 @@ def core_of_structure(a: RelationalStructure,
     if element_order is not None:
         if sorted(element_order) != sorted(a.domain):
             raise InputError("element_order must enumerate the domain exactly")
-    current = a
-    while True:
-        order = [v for v in (element_order or sorted(current.domain))
-                 if v in set(current.domain)]
-        h = _find_retraction(current, cfg, order)
-        if h is None:
-            return current
-        current = induced_substructure(current, sorted(set(h.values())))
+    return _shrink(a, cfg, element_order or sorted(a.domain))
 
 
 def core_of_query(q: ConjunctiveQuery,
@@ -70,9 +75,15 @@ def core_of_query(q: ConjunctiveQuery,
 
     Every free variable is pinned by a singleton unary relation, so it is
     fixed by every endomorphism of the pinned structure and survives into
-    the core; the returned query keeps the original free tuple.
+    the core; the returned query keeps the original free tuple. Dropping a
+    pinned variable would empty its pin relation, so only quantified
+    variables are tried as deletion candidates, and a query without
+    quantified variables is already its own core.
     """
+    quantified = q.quantified_vars
+    if not quantified:
+        return q
     pinned, names = _with_pins(q.structure, q.free_vars)
-    core = core_of_structure(pinned, cfg)
+    core = _shrink(pinned, cfg, sorted(quantified))
     stripped = drop_relations(core, names.values())
     return ConjunctiveQuery(stripped, q.free_vars)

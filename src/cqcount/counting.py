@@ -4,8 +4,10 @@ Counting proceeds in three steps: take the core of the query, fold every
 S-component into a single projection relation over the free variables it
 touches (this quantifier-eliminated instance has the same answer set, and
 its hypergraph's primal graph is exactly the contract of the core's
-S-hypergraph), then run a counting dynamic program over a nice tree
-decomposition of that graph.
+S-hypergraph), then count by sparse sum-product variable elimination
+(bucket elimination) along a tree decomposition of that graph: each atom
+is a table of the target tuples it matches, and eliminating a variable
+joins the tables that mention it and sums it out.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from .cores import core_of_query
 from .errors import InputError, ResourceBudgetError
@@ -47,7 +50,6 @@ from .treewidth import (
     EXACT,
     TreeDecomposition,
     decompose,
-    nice_tree,
     verify_decomposition,
 )
 
@@ -149,86 +151,159 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     return ConjunctiveQuery(left, q.free_vars), right
 
 
+def _atom_factor(t: tuple, rows: frozenset) -> Tuple[tuple, dict]:
+    """One atom's factor: its distinct variables and the matching rows.
+
+    A repeated variable keeps only rows that agree on its positions, and
+    each row is projected onto the first occurrences.
+    """
+    scope = tuple(dict.fromkeys(t))
+    if len(scope) == len(t):
+        return scope, dict.fromkeys(rows, 1)
+    first = {v: t.index(v) for v in scope}
+    repeats = [(i, first[v]) for i, v in enumerate(t) if first[v] != i]
+    keep = [first[v] for v in scope]
+    return scope, {
+        tuple(row[i] for i in keep): 1
+        for row in rows
+        if all(row[i] == row[j] for i, j in repeats)
+    }
+
+
+def _key_getter(positions: List[int]):
+    """A function taking a row to the tuple of its values at ``positions``."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+_UNIT = ((), {(): 1})
+
+
+def _join(left: Tuple[tuple, dict], right: Tuple[tuple, dict],
+          drop: Optional[str] = None) -> Tuple[tuple, dict]:
+    """Hash join of two factors on their shared variables; counts multiply.
+
+    With ``drop``, that variable of ``left`` is summed out in the same pass,
+    so the unsummed join is never built.
+    """
+    scope, table = left
+    other_scope, other = right
+    shared = [v for v in other_scope if v in scope]
+    extra = [v for v in other_scope if v not in scope]
+    on_left = _key_getter([scope.index(v) for v in shared])
+    on_right = _key_getter([other_scope.index(v) for v in shared])
+    rest = _key_getter([other_scope.index(v) for v in extra])
+    index: Dict[tuple, list] = {}
+    for row, cnt in other.items():
+        index.setdefault(on_right(row), []).append((rest(row), cnt))
+    kept = [i for i, v in enumerate(scope) if v != drop]
+    head = _key_getter(kept)
+    out: Dict[tuple, int] = {}
+    for row, cnt in table.items():
+        matches = index.get(on_left(row))
+        if matches:
+            start = head(row)
+            for ext, c in matches:
+                key = start + ext
+                out[key] = out.get(key, 0) + cnt * c
+    return tuple(scope[i] for i in kept) + tuple(extra), out
+
+
+def _join_sum_out(factors: List[Tuple[tuple, dict]], var: str) -> Tuple[tuple, dict]:
+    """Multiply factors that all mention ``var``, smallest first, and sum it out."""
+    factors = sorted(factors, key=lambda f: len(f[1]))
+    joined = factors[0]
+    for other in factors[1:-1]:
+        joined = _join(joined, other)
+    return _join(joined, factors[-1] if len(factors) > 1 else _UNIT, drop=var)
+
+
+def _elimination_order(td: TreeDecomposition) -> List[str]:
+    """Variables ordered bottom-up along the decomposition rooted at bag 0.
+
+    Each variable goes at its bag nearest the root, and bags come children
+    first, so every variable's later neighbours lie in that one bag.
+    """
+    adj: Dict[int, List[int]] = {i: [] for i in range(len(td.bags))}
+    for i, j in td.tree_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    top_down = [0]
+    seen = {0}
+    for i in top_down:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                top_down.append(j)
+    placed = set()
+    levels = []
+    for i in top_down:
+        fresh = sorted(td.bags[i] - placed)
+        placed.update(fresh)
+        levels.append(fresh)
+    return [v for level in reversed(levels) for v in level]
+
+
+def _sum_product(q: ConjunctiveQuery, dst: RelationalStructure,
+                 td: TreeDecomposition) -> int:
+    """Bucket elimination of every variable of ``q`` along ``td``.
+
+    Each factor waits in the bucket of its earliest-eliminated variable;
+    eliminating that variable joins the bucket and passes the result on.
+    """
+    order = _elimination_order(td)
+    pos = {v: i for i, v in enumerate(order)}
+    buckets: List[list] = [[] for _ in order]
+    total = 1
+    for name, ts in q.structure.relations.items():
+        rows = dst.tuples(name)
+        for t in ts:
+            scope, table = _atom_factor(t, rows)
+            if not table:
+                return 0
+            if scope:
+                buckets[min(pos[v] for v in scope)].append((scope, table))
+    size = len(dst.domain)
+    for i, var in enumerate(order):
+        bucket = buckets[i]
+        buckets[i] = None
+        if not bucket:
+            total *= size
+            continue
+        scope, table = _join_sum_out(bucket, var)
+        if not table:
+            return 0
+        if scope:
+            buckets[min(pos[v] for v in scope)].append((scope, table))
+        else:
+            total *= table[()]
+    return total
+
+
 def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
                              td: TreeDecomposition,
                              cfg: CountingConfig = DEFAULT_COUNTING_CONFIG) -> int:
-    """Count full homomorphisms of a quantifier-free query by bag DP.
+    """Count full homomorphisms of a quantifier-free query by Σ-elimination.
 
     The decomposition (of the query's primal graph) is verified first. Each
-    atom is assigned to exactly one nice-tree node whose bag covers its
-    variables and filters the table there exactly once: leaves start at
-    {() -> 1}, introduce nodes extend by every target value, forget nodes
-    sum, join nodes multiply matching rows. Variables in no atom are still
-    bag vertices, so each contributes a factor |target domain|.
+    atom becomes a sparse factor table built from the target's tuples: a
+    dict from value tuples to counts. Variables are then eliminated
+    bottom-up along the decomposition: the factors mentioning a variable
+    are joined and the variable is summed out, so every intermediate table
+    lies within one bag and holds only rows that match the atoms joined
+    into it. A variable in no
+    atom contributes a factor |target domain|; a 0-ary atom contributes 1
+    or 0.
     """
     if set(q.free_vars) != set(q.structure.domain):
         raise InputError("count_quantifier_free_td expects a quantifier-free query")
     check_vocabulary(q.structure, dst)
-    g = primal_graph(hypergraph_of(q))
-    verify_decomposition(g, td)
-    nodes, root = nice_tree(td)
-    atoms = q.structure.atoms()
-    assigned: Dict[int, list] = {}
-    for name, t in atoms:
-        scope = set(t)
-        for i, node in enumerate(nodes):
-            if scope <= node.bag:
-                assigned.setdefault(i, []).append((name, t))
-                break
-        else:
-            raise InputError(f"atom {name}{t!r} is not covered by any bag")
-    values = sorted(dst.domain)
-    rel = {name: dst.tuples(name) for name in q.structure.vocabulary.symbols}
-    tables: List[Dict[tuple, int]] = [dict() for _ in nodes]
-    for i, node in enumerate(nodes):
-        bag = sorted(node.bag)
-        if node.kind == "leaf":
-            table = {(): 1}
-        elif node.kind == "introduce":
-            child = tables[node.children[0]]
-            at = bag.index(node.var)
-            table = {}
-            for key, cnt in child.items():
-                head, tail = key[:at], key[at:]
-                for b in values:
-                    table[head + (b,) + tail] = cnt
-        elif node.kind == "forget":
-            child_node = nodes[node.children[0]]
-            child_bag = sorted(child_node.bag)
-            at = child_bag.index(node.var)
-            table = {}
-            for key, cnt in tables[node.children[0]].items():
-                short = key[:at] + key[at + 1:]
-                table[short] = table.get(short, 0) + cnt
-        elif node.kind == "join":
-            left = tables[node.children[0]]
-            right = tables[node.children[1]]
-            if len(right) < len(left):
-                left, right = right, left
-            table = {}
-            for key, cnt in left.items():
-                other = right.get(key)
-                if other:
-                    table[key] = cnt * other
-        else:
-            raise InputError(f"unknown nice node kind {node.kind!r}")
-        for name, t in assigned.get(i, ()):
-            want = rel[name]
-            if not t:
-                if () not in want:
-                    table = {}
-                continue
-            pos = {v: bag.index(v) for v in set(t)}
-            table = {
-                key: cnt
-                for key, cnt in table.items()
-                if tuple(key[pos[v]] for v in t) in want
-            }
-        tables[i] = table
-        # Free the child tables early; instances can have many bags.
-        for c in node.children:
-            tables[c] = {}
-    return tables[root].get((), 0)
+    verify_decomposition(primal_graph(hypergraph_of(q)), td)
+    return _sum_product(q, dst, td)
 
 
 def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
@@ -256,7 +331,7 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
         raise ResourceBudgetError(
             "instance exceeds both the width cap and the brute-force cap"
         )
-    return count_quantifier_free_td(left, right, td, cfg)
+    return _sum_product(left, right, td)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Both paths produce an elimination order and build the decomposition from
 it: eliminating a vertex bags it with its current neighbourhood, which is
-then cliqued. The exact path minimises the worst elimination degree by
-dynamic programming over vertex subsets (bitmask encoded); the heuristic
-picks the vertex needing the fewest fill edges. Decompositions carry an
-exactness flag so callers never mistake an upper bound for the truth.
+then cliqued. The heuristic picks the vertex needing the fewest fill
+edges; on small graphs a minor-min-width lower bound often certifies that
+order as optimal. Otherwise the exact path minimises the worst elimination
+degree by dynamic programming over vertex subsets (bitmask encoded).
+Decompositions carry an exactness flag so callers never mistake an upper
+bound for the truth.
 
 The convention ``width = max bag size - 1`` makes the empty graph width -1
 (one empty bag).
@@ -13,8 +15,9 @@ The convention ``width = max bag size - 1`` makes the empty graph width -1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+import heapq
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple, Union
 
 from .errors import InputError
 from .hypergraphs import Graph, SHypergraph, primal_graph
@@ -117,26 +120,68 @@ def exact_treewidth(obj: GraphLike, limit: int = DEFAULT_EXACT_THRESHOLD) -> int
     return _exact_elimination(_as_graph(obj), limit)[1]
 
 
+def _fill_in(adjacency: Dict[str, set], v: str) -> int:
+    """How many edges eliminating v would add: non-adjacent neighbour pairs."""
+    nb = adjacency[v]
+    return sum(1 for u in nb for w in nb if u < w and w not in adjacency[u])
+
+
 def _min_fill_elimination(g: Graph) -> List[str]:
-    """Minimum-fill-in elimination order (tie break: vertex name)."""
+    """Minimum-fill-in elimination order (tie break: vertex name).
+
+    Fill counts live in a heap with lazy deletion. Eliminating v changes the
+    neighbourhood of v's neighbours and the edges between their neighbours,
+    so only those vertices are re-scored.
+    """
     adjacency = g.adjacency()
+    fills = {v: _fill_in(adjacency, v) for v in adjacency}
+    heap = [(f, v) for v, f in fills.items()]
+    heapq.heapify(heap)
     order = []
-    while adjacency:
-        def fill(v):
-            nb = sorted(adjacency[v])
-            return sum(
-                1
-                for i, u in enumerate(nb)
-                for w in nb[i + 1:]
-                if w not in adjacency[u]
-            )
-        v = min(sorted(adjacency), key=fill)
+    while heap:
+        f, v = heapq.heappop(heap)
+        if fills.get(v) != f:
+            continue
         order.append(v)
+        del fills[v]
         nb = adjacency.pop(v)
+        touched = set(nb)
         for u in nb:
             adjacency[u].discard(v)
             adjacency[u].update(nb - {u})
+            touched |= adjacency[u]
+        for u in touched:
+            f = _fill_in(adjacency, u)
+            if f != fills[u]:
+                fills[u] = f
+                heapq.heappush(heap, (f, u))
     return order
+
+
+def _minor_min_width(g: Graph) -> int:
+    """A lower bound on the treewidth by minor-min-width (Gogate & Dechter).
+
+    Treewidth is at least the minimum degree and never grows under edge
+    contraction, so the bound repeatedly records the minimum degree, then
+    contracts a minimum-degree vertex into its neighbour with the fewest
+    common neighbours (ties: lower degree, then name), or deletes it when
+    isolated.
+    """
+    adjacency = g.adjacency()
+    bound = -1
+    while adjacency:
+        v = min(adjacency, key=lambda x: (len(adjacency[x]), x))
+        nb = adjacency.pop(v)
+        if len(nb) > bound:
+            bound = len(nb)
+        for u in nb:
+            adjacency[u].discard(v)
+        if nb:
+            u = min(nb, key=lambda x: (len(adjacency[x] & nb), len(adjacency[x]), x))
+            for w in nb - {u}:
+                adjacency[w].add(u)
+                adjacency[u].add(w)
+    return bound
 
 
 def decomposition_from_order(g: Graph, order: List[str], exactness: str) -> TreeDecomposition:
@@ -177,15 +222,21 @@ def decomposition_from_order(g: Graph, order: List[str], exactness: str) -> Tree
 def decompose(obj: GraphLike, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> TreeDecomposition:
     """A valid tree decomposition: exact up to the threshold, min-fill above.
 
-    Hypergraphs are decomposed via their primal graph. The result is always
+    Hypergraphs are decomposed via their primal graph. Every graph gets a
+    min-fill decomposition first. Above the threshold it is returned as an
+    upper bound. Within the threshold it is flagged exact when the
+    minor-min-width lower bound equals its width; only when the bound falls
+    short does the subset DP run for an optimal order. The result is always
     verified before being returned.
     """
     g = _as_graph(obj)
+    td = decomposition_from_order(g, _min_fill_elimination(g), UPPER_BOUND)
     if len(g.vertices) <= exact_threshold:
-        order, _ = _exact_elimination(g, exact_threshold)
-        td = decomposition_from_order(g, order, EXACT)
-    else:
-        td = decomposition_from_order(g, _min_fill_elimination(g), UPPER_BOUND)
+        if _minor_min_width(g) == td.width:
+            td = replace(td, exactness=EXACT)
+        else:
+            order, _ = _exact_elimination(g, exact_threshold)
+            td = decomposition_from_order(g, order, EXACT)
     verify_decomposition(g, td)
     return td
 
@@ -226,77 +277,24 @@ def verify_decomposition(obj: GraphLike, td: TreeDecomposition) -> int:
     missing = vset - bagged
     if missing:
         raise DecompositionError(f"vertex {sorted(missing)[0]!r} uncovered")
+    occ: Dict[str, List[int]] = {v: [] for v in vset}
+    for i, b in enumerate(bags):
+        for v in b:
+            occ[v].append(i)
     for e in g.edges:
-        if not any(e <= b for b in bags):
+        u, w = e
+        if not any(w in bags[i] for i in occ[u]):
             raise DecompositionError(f"edge {sorted(e)!r} uncovered")
+    # The bags holding v induce a forest in the tree; it is connected
+    # exactly when it has one tree edge fewer than it has bags.
+    inner = dict.fromkeys(vset, 0)
+    for i, j in td.tree_edges:
+        for v in bags[i] & bags[j]:
+            inner[v] += 1
     for v in sorted(vset):
-        occ = {i for i, b in enumerate(bags) if v in b}
-        start = min(occ)
-        reached = {start}
-        stack = [start]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j in occ and j not in reached:
-                    reached.add(j)
-                    stack.append(j)
-        if reached != occ:
+        if inner[v] != len(occ[v]) - 1:
             raise DecompositionError(f"occurrence bags of {v!r} violate connectivity")
     width = max(len(b) for b in bags) - 1
     if width != td.width:
         raise DecompositionError(f"stored width {td.width} but bags give {width}")
     return width
-
-
-@dataclass(frozen=True)
-class NiceNode:
-    """One node of a nice tree: leaf / introduce / forget / join."""
-
-    kind: str
-    bag: frozenset
-    var: Optional[str]
-    children: Tuple[int, ...]
-
-
-def nice_tree(td: TreeDecomposition) -> Tuple[List[NiceNode], int]:
-    """Expand a decomposition into nice form, rooted with an empty bag.
-
-    Nodes are returned children-before-parents, so a single forward pass
-    evaluates any bottom-up dynamic program; the second value is the root
-    index. Joins are binary; introduce/forget steps change one variable at
-    a time.
-    """
-    bags = td.bags
-    adj: Dict[int, List[int]] = {i: [] for i in range(len(bags))}
-    for i, j in td.tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    nodes: List[NiceNode] = []
-
-    def emit(kind, bag, var, children) -> int:
-        nodes.append(NiceNode(kind, frozenset(bag), var, tuple(children)))
-        return len(nodes) - 1
-
-    def lift(cur: int, cur_bag: frozenset, target: frozenset) -> int:
-        bag = set(cur_bag)
-        for v in sorted(cur_bag - target):
-            bag.discard(v)
-            cur = emit("forget", frozenset(bag), v, (cur,))
-        for v in sorted(target - frozenset(bag)):
-            bag.add(v)
-            cur = emit("introduce", frozenset(bag), v, (cur,))
-        return cur
-
-    def build(b: int, parent: int) -> int:
-        children = sorted(c for c in adj[b] if c != parent)
-        if not children:
-            cur = emit("leaf", frozenset(), None, ())
-            return lift(cur, frozenset(), bags[b])
-        lifted = [lift(build(c, b), bags[c], bags[b]) for c in children]
-        cur = lifted[0]
-        for nxt in lifted[1:]:
-            cur = emit("join", bags[b], None, (cur, nxt))
-        return cur
-
-    root = build(0, -1)
-    root = lift(root, bags[0], frozenset())
-    return nodes, root

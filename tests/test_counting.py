@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -24,8 +25,11 @@ from cqcount import (
     hom_exists,
     hypergraph_of,
     primal_graph,
+    render_query,
     s_components,
+    structure_to_dict,
 )
+from cqcount.cli import main
 from cqcount.counting import COMPONENT_PREFIX
 from cqcount.generators import (
     boolean_clique_query,
@@ -33,6 +37,12 @@ from cqcount.generators import (
     quantified_star_query,
     quantifier_free_path_query,
     random_instance,
+)
+from cqcount.treewidth import (
+    UPPER_BOUND,
+    DecompositionError,
+    TreeDecomposition,
+    decomposition_from_order,
 )
 
 STRUCTURAL = CountingConfig(mode="structural")
@@ -162,6 +172,77 @@ def test_dp_rejects_quantified_queries():
     td = decompose(primal_graph(hypergraph_of(q)))
     with pytest.raises(InputError):
         count_quantifier_free_td(q, TRIANGLE, td)
+
+
+def random_quantifier_free_instance(rng):
+    """A quantifier-free query and a target over 0- to 3-ary symbols.
+
+    Variables may repeat inside an atom or occur in none; relations may be
+    empty and the target domain may be empty.
+    """
+    symbols = {"Z": 0, "U": 1, "E": 2, "T": 3}
+    variables = [f"x{i}" for i in range(rng.randint(0, 6))]
+    atoms = {name: set() for name in symbols}
+    for _ in range(rng.randint(0, 6)):
+        name = rng.choice(sorted(symbols))
+        if variables or not symbols[name]:
+            atoms[name].add(tuple(rng.choice(variables) for _ in range(symbols[name])))
+    q = ConjunctiveQuery(structure(symbols, variables, atoms), tuple(variables))
+    elements = [f"b{i}" for i in range(rng.randint(0, 4))]
+    relations = {}
+    for name, arity in symbols.items():
+        density = rng.choice([0.0, 0.3, 0.7, 1.0])
+        relations[name] = {row for row in product(elements, repeat=arity)
+                           if rng.random() < density}
+    return q, structure(symbols, elements, relations)
+
+
+def test_dp_matches_brute_under_any_decomposition():
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(300):
+        q, b = random_quantifier_free_instance(rng)
+        atoms = q.structure.atoms()
+        used = {v for _, t in atoms for v in t}
+        seen.update(
+            {"repeat" for _, t in atoms if len(set(t)) < len(t)}
+            | {"0-ary" for _, t in atoms if not t}
+            | {"empty relation" for name, t in atoms if not b.tuples(name)}
+            | ({"isolated"} if set(q.structure.domain) - used else set())
+            | ({"empty domain"} if not b.domain and q.structure.domain else set())
+        )
+        g = primal_graph(hypergraph_of(q))
+        order = list(g.vertices)
+        rng.shuffle(order)
+        want = count_answers_brute(q, b)
+        assert count_quantifier_free_td(q, b, decompose(g)) == want
+        assert count_quantifier_free_td(
+            q, b, decomposition_from_order(g, order, UPPER_BOUND)) == want
+    assert seen == {"repeat", "0-ary", "empty relation", "isolated", "empty domain"}
+
+
+def test_dp_rejects_invalid_decompositions():
+    q = ConjunctiveQuery(digraph("xyz", [("x", "y"), ("y", "z")]), ("x", "y", "z"))
+    singletons = TreeDecomposition(
+        (frozenset("x"), frozenset("y"), frozenset("z")),
+        frozenset({(0, 1), (1, 2)}), 0, UPPER_BOUND)
+    with pytest.raises(DecompositionError, match="uncovered"):
+        count_quantifier_free_td(q, TRIANGLE, singletons)
+    split = TreeDecomposition(
+        (frozenset("xy"), frozenset("z"), frozenset("yz")),
+        frozenset({(0, 1), (1, 2)}), 1, UPPER_BOUND)
+    with pytest.raises(DecompositionError, match="connectivity"):
+        count_quantifier_free_td(q, TRIANGLE, split)
+
+
+def test_long_quantifier_free_path(tmp_path, capsys):
+    q, k3 = quantifier_free_path_query(1200), clique_graph(3)
+    assert count_answers(q, k3) == 3 * 2 ** 1200
+    db_path, q_path = tmp_path / "k3.json", tmp_path / "path.query"
+    db_path.write_text(json.dumps(structure_to_dict(k3)))
+    q_path.write_text(render_query(q) + "\n")
+    assert main(["count", "--db", str(db_path), "--query", str(q_path)]) == 0
+    assert capsys.readouterr().out.strip() == str(3 * 2 ** 1200)
 
 
 def test_count_answers_examples():

@@ -10,8 +10,8 @@ from cqcount.treewidth import (
     UPPER_BOUND,
     DecompositionError,
     TreeDecomposition,
+    _minor_min_width,
     decomposition_from_order,
-    nice_tree,
 )
 
 
@@ -170,32 +170,26 @@ def test_decomposition_from_order_disconnected():
     assert verify_decomposition(g, td) == 1
 
 
-def test_nice_tree_roundtrip():
-    rng = random.Random(23)
-    for _ in range(30):
-        g = random_graph(rng, max_n=8)
+def test_minor_min_width_is_a_lower_bound():
+    rng = random.Random(24)
+    tight = 0
+    for _ in range(200):
+        g = random_graph(rng, max_n=10, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
+        exact = exact_treewidth(g)
+        bound = _minor_min_width(g)
+        assert bound <= exact
+        tight += bound == exact
         td = decompose(g)
-        nodes, root = nice_tree(td)
-        assert nodes[root].bag == frozenset()
-        seen_vertices = set()
-        for i, node in enumerate(nodes):
-            for c in node.children:
-                assert c < i  # children-first evaluation order
-            if node.kind == "leaf":
-                assert node.bag == frozenset()
-            elif node.kind == "introduce":
-                child = nodes[node.children[0]]
-                assert node.bag == child.bag | {node.var}
-                assert node.var not in child.bag
-            elif node.kind == "forget":
-                child = nodes[node.children[0]]
-                assert node.bag == child.bag - {node.var}
-                assert node.var in child.bag
-            elif node.kind == "join":
-                left, right = (nodes[c] for c in node.children)
-                assert node.bag == left.bag == right.bag
-            seen_vertices |= node.bag
-        assert seen_vertices == set(g.vertices)
-        # every original bag appears somewhere
-        nice_bags = {node.bag for node in nodes}
-        assert set(td.bags) <= nice_bags
+        if td.exactness == EXACT:
+            assert td.width == exact
+    assert tight >= 150
+
+
+def test_minor_min_width_known_values():
+    assert _minor_min_width(graph([], [])) == -1
+    assert _minor_min_width(graph("ab", [])) == 0
+    assert _minor_min_width(graph("abcde", [("a", "b"), ("a", "c"), ("c", "d")])) == 1
+    for k in (2, 5, 9):
+        assert _minor_min_width(clique(k)) == k - 1
+    assert _minor_min_width(grid(3)) == 3
+    assert _minor_min_width(grid(4)) == 4
