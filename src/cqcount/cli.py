@@ -26,7 +26,12 @@ from .counting import (
 )
 from .errors import InputError, ResourceBudgetError
 from .generators import random_instance
-from .homomorphisms import HomSearchConfig, count_answers_brute, hom_exists
+from .homomorphisms import (
+    HomSearchConfig,
+    check_vocabulary,
+    count_answers_brute,
+    hom_exists,
+)
 from .parsing import load_database, parse_query, render_query
 from .reductions import count_star_via_oracle
 from .structures import (
@@ -70,21 +75,10 @@ def _load_query(path: str) -> ConjunctiveQuery:
     return parse_query(text)
 
 
-def _check_bindings(q: ConjunctiveQuery, db: RelationalStructure) -> None:
-    for name, arity in q.structure.vocabulary.symbols.items():
-        have = db.vocabulary.symbols.get(name)
-        if have is None:
-            raise InputError(f"query uses relation {name!r}, absent from the database")
-        if have != arity:
-            raise InputError(
-                f"relation {name!r}: query arity {arity}, database arity {have}"
-            )
-
-
 def _cmd_count(args) -> int:
     db = load_database(args.db)
     q = _load_query(args.query)
-    _check_bindings(q, db)
+    check_vocabulary(q.structure, db)
     print(count_answers(q, db, _configs(args.mode)))
     return 0
 
@@ -92,7 +86,7 @@ def _cmd_count(args) -> int:
 def _cmd_decide(args) -> int:
     db = load_database(args.db)
     q = _load_query(args.query)
-    _check_bindings(q, db)
+    check_vocabulary(q.structure, db)
     cfg = _configs()
     print("SAT" if hom_exists(q.structure, db, cfg.hom) else "UNSAT")
     return 0
@@ -105,8 +99,6 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.db:
-        load_database(args.db)  # validated but unused: the report is query-only
     q = _load_query(args.query)
     report = classify(q, args.k_core, args.k_contract, _configs())
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -116,7 +108,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_reduce_demo(args) -> int:
     db = load_database(args.db)
     q = _load_query(args.query)
-    _check_bindings(q, db)
+    check_vocabulary(q.structure, db)
     cfg = _configs(MODE_STRUCTURAL)
     core = core_of_query(q, cfg.hom)
     # Extend the database with unrestricted pins so the fully pinned query
@@ -175,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     count.set_defaults(func=_cmd_count)
 
     analyze = sub.add_parser("analyze", help="print the trichotomy report as JSON")
-    analyze.add_argument("--db")
     analyze.add_argument("--query", required=True)
     analyze.add_argument("--k-core", type=int, default=3)
     analyze.add_argument("--k-contract", type=int, default=3)

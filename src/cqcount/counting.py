@@ -7,7 +7,10 @@ its hypergraph's primal graph is exactly the contract of the core's
 S-hypergraph), then count by sparse sum-product variable elimination
 (bucket elimination) along a tree decomposition of that graph: each atom
 is a table of the target tuples it matches, and eliminating a variable
-joins the tables that mention it and sums it out.
+joins the tables that mention it and sums it out. Joins filter before
+they grow: a bucket starts from its largest table and next joins the
+table adding the fewest new variables, and each message, once summed,
+absorbs every pending table whose variables it covers.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -126,11 +129,14 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     the new target interprets that atom as the component's projection. The
     answer sets of (q, dst) and of the result coincide exactly. Callers
     normally pass a core query, but the equivalence holds for any query.
+    A query without quantified variables has no S-component and is returned
+    unchanged, together with ``dst``.
     """
     check_vocabulary(q.structure, dst)
+    comps = s_components(hypergraph_of(q))
+    if not comps:
+        return q, dst
     free = frozenset(q.free_vars)
-    h = hypergraph_of(q)
-    comps = s_components(h)
     left_symbols = dict(q.structure.vocabulary.symbols)
     left_rels: Dict[str, frozenset] = {}
     for name, ts in q.structure.relations.items():
@@ -188,18 +194,31 @@ def _join(left: Tuple[tuple, dict], right: Tuple[tuple, dict],
     """Hash join of two factors on their shared variables; counts multiply.
 
     With ``drop``, that variable of ``left`` is summed out in the same pass,
-    so the unsummed join is never built.
+    so the unsummed join is never built. When ``right`` adds no variable and
+    nothing is dropped, the join is a semijoin that probes ``right``
+    directly and keeps ``left``'s scope.
     """
     scope, table = left
     other_scope, other = right
-    shared = [v for v in other_scope if v in scope]
     extra = [v for v in other_scope if v not in scope]
+    if not extra and drop is None:
+        probe = _key_getter([scope.index(v) for v in other_scope])
+        return scope, {row: cnt * c for row, cnt in table.items()
+                       if (c := other.get(probe(row)))}
+    shared = [v for v in other_scope if v in scope]
     on_left = _key_getter([scope.index(v) for v in shared])
     on_right = _key_getter([other_scope.index(v) for v in shared])
     rest = _key_getter([other_scope.index(v) for v in extra])
     index: Dict[tuple, list] = {}
     for row, cnt in other.items():
         index.setdefault(on_right(row), []).append((rest(row), cnt))
+    if drop is None:
+        # distinct left rows meet distinct extensions: no key repeats
+        return scope + tuple(extra), {
+            row + ext: cnt * c
+            for row, cnt in table.items()
+            for ext, c in index.get(on_left(row), ())
+        }
     kept = [i for i, v in enumerate(scope) if v != drop]
     head = _key_getter(kept)
     out: Dict[tuple, int] = {}
@@ -214,12 +233,40 @@ def _join(left: Tuple[tuple, dict], right: Tuple[tuple, dict],
 
 
 def _join_sum_out(factors: List[Tuple[tuple, dict]], var: str) -> Tuple[tuple, dict]:
-    """Multiply factors that all mention ``var``, smallest first, and sum it out."""
-    factors = sorted(factors, key=lambda f: len(f[1]))
-    joined = factors[0]
-    for other in factors[1:-1]:
-        joined = _join(joined, other)
-    return _join(joined, factors[-1] if len(factors) > 1 else _UNIT, drop=var)
+    """Multiply factors that all mention ``var`` and sum it out in the last join.
+
+    The product starts from the largest table and next takes the factor
+    that adds the fewest new variables (on ties, the smaller table), so
+    factors already covered by the running scope filter it before it grows.
+    """
+    rest = sorted(factors, key=lambda f: len(f[1]))
+    joined = rest.pop()
+    while len(rest) > 1:
+        have = joined[0]
+        k = min(range(len(rest)),
+                key=lambda j: (sum(v not in have for v in rest[j][0]), j))
+        joined = _join(joined, rest.pop(k))
+    return _join(joined, rest[0] if rest else _UNIT, drop=var)
+
+
+def _absorb(message: Tuple[tuple, dict], buckets: List[list],
+            pos: Dict[str, int]) -> Tuple[tuple, dict]:
+    """Join into ``message`` every pending factor its scope covers.
+
+    Such a factor waits in the bucket of one of the message's variables.
+    Joining it now only filters the message, before a later bucket
+    multiplies the message by factors that add variables.
+    """
+    scope = message[0]
+    within = set(scope)
+    for v in scope:
+        bucket = buckets[pos[v]]
+        covered = [f for f in bucket if within.issuperset(f[0])]
+        if covered:
+            bucket[:] = [f for f in bucket if not within.issuperset(f[0])]
+            for f in covered:
+                message = _join(message, f)
+    return message
 
 
 def _elimination_order(td: TreeDecomposition) -> List[str]:
@@ -274,11 +321,12 @@ def _sum_product(q: ConjunctiveQuery, dst: RelationalStructure,
         if not bucket:
             total *= size
             continue
-        scope, table = _join_sum_out(bucket, var)
+        message = _absorb(_join_sum_out(bucket, var), buckets, pos)
+        scope, table = message
         if not table:
             return 0
         if scope:
-            buckets[min(pos[v] for v in scope)].append((scope, table))
+            buckets[min(pos[v] for v in scope)].append(message)
         else:
             total *= table[()]
     return total
@@ -295,9 +343,12 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
     bottom-up along the decomposition: the factors mentioning a variable
     are joined and the variable is summed out, so every intermediate table
     lies within one bag and holds only rows that match the atoms joined
-    into it. A variable in no
-    atom contributes a factor |target domain|; a 0-ary atom contributes 1
-    or 0.
+    into it. The join order is filter-first: each bucket starts from its
+    largest factor and next takes the one adding the fewest new variables,
+    and the summed message at once absorbs every pending factor within its
+    scope, so covered atoms cut tables before later joins extend them. A
+    variable in no atom contributes a factor |target domain|; a 0-ary atom
+    contributes 1 or 0.
     """
     if set(q.free_vars) != set(q.structure.domain):
         raise InputError("count_quantifier_free_td expects a quantifier-free query")

@@ -29,6 +29,7 @@ from cqcount import (
     s_components,
     structure_to_dict,
 )
+from cqcount import counting
 from cqcount.cli import main
 from cqcount.counting import COMPONENT_PREFIX
 from cqcount.generators import (
@@ -219,6 +220,113 @@ def test_dp_matches_brute_under_any_decomposition():
         assert count_quantifier_free_td(
             q, b, decomposition_from_order(g, order, UPPER_BOUND)) == want
     assert seen == {"repeat", "0-ary", "empty relation", "isolated", "empty domain"}
+
+
+def naive_join(left, right, drop=None):
+    """Nested-loop join of two factors, as a map from assignments to counts."""
+    out = {}
+    for lrow, lcnt in left[1].items():
+        for rrow, rcnt in right[1].items():
+            a, b = dict(zip(left[0], lrow)), dict(zip(right[0], rrow))
+            if all(a[v] == b[v] for v in a.keys() & b.keys()):
+                merged = {**a, **b}
+                merged.pop(drop, None)
+                key = frozenset(merged.items())
+                out[key] = out.get(key, 0) + lcnt * rcnt
+    return out
+
+
+def test_join_matches_nested_loop():
+    rng = random.Random(7)
+    seen = set()
+
+    def factor(variables):
+        rows = product("abc", repeat=len(variables))
+        return variables, {row: rng.randint(1, 4) for row in rows if rng.random() < 0.6}
+
+    for _ in range(400):
+        left_vars = tuple(rng.sample("uvwxy", rng.randint(1, 4)))
+        right_vars = tuple(rng.sample("uvwxy", rng.randint(0, 3)))
+        drop = rng.choice([None, rng.choice(left_vars)])
+        left, right = factor(left_vars), factor(right_vars)
+        scope, table = counting._join(left, right, drop)
+        assert sorted(scope) == sorted((set(left_vars) | set(right_vars)) - {drop})
+        got = {frozenset(zip(scope, row)): cnt for row, cnt in table.items()}
+        assert got == naive_join(left, right, drop)
+        if drop is not None:
+            seen.add("sum-out")
+        elif set(right_vars) <= set(left_vars):
+            seen.add("filter")
+        else:
+            seen.add("plain")
+    assert seen == {"filter", "plain", "sum-out"}
+
+
+def shaped_quantifier_free_instance(rng):
+    """A grid or cycle query whose edges may be duplicated, over a random target.
+
+    A duplicated edge repeats its scope in a second relation or reversed,
+    and unary atoms cover some vertices, so many factors lie within
+    another's scope.
+    """
+    if rng.random() < 0.5:
+        rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+        cell = [[f"g{i}_{j}" for j in range(cols)] for i in range(rows)]
+        variables = [v for row in cell for v in row]
+        edges = [(cell[i][j], cell[i][j + 1]) for i in range(rows) for j in range(cols - 1)]
+        edges += [(cell[i][j], cell[i + 1][j]) for i in range(rows - 1) for j in range(cols)]
+    else:
+        variables = [f"c{i}" for i in range(rng.randint(3, 6))]
+        edges = list(zip(variables, variables[1:] + variables[:1]))
+    atoms = {"E": set(edges), "F": set()}
+    for u, v in edges:
+        roll = rng.random()
+        if roll < 0.3:
+            atoms["F"].add((u, v))
+        elif roll < 0.5:
+            atoms["E"].add((v, u))
+    atoms["U"] = {(v,) for v in variables if rng.random() < 0.3}
+    symbols = {"E": 2, "F": 2, "U": 1}
+    q = ConjunctiveQuery(structure(symbols, variables, atoms), tuple(variables))
+    elements = [f"b{i}" for i in range(rng.randint(2, 3))]
+    relations = {
+        name: {row for row in product(elements, repeat=arity)
+               if rng.random() < rng.choice([0.5, 0.8, 1.0])}
+        for name, arity in symbols.items()
+    }
+    return q, structure(symbols, elements, relations)
+
+
+def test_filter_first_elimination_matches_brute(monkeypatch):
+    rng = random.Random(45)
+    seen = set()
+    absorbing = []
+    real_join, real_absorb = counting._join, counting._absorb
+
+    def join(left, right, drop=None):
+        if drop is None and set(right[0]) <= set(left[0]):
+            seen.add("absorbed" if absorbing else "bucket semijoin")
+        return real_join(left, right, drop)
+
+    def absorb(*args):
+        absorbing.append(True)
+        try:
+            return real_absorb(*args)
+        finally:
+            absorbing.pop()
+
+    monkeypatch.setattr(counting, "_join", join)
+    monkeypatch.setattr(counting, "_absorb", absorb)
+    for _ in range(120):
+        q, b = shaped_quantifier_free_instance(rng)
+        g = primal_graph(hypergraph_of(q))
+        order = list(g.vertices)
+        rng.shuffle(order)
+        want = count_answers_brute(q, b)
+        assert count_quantifier_free_td(q, b, decompose(g)) == want
+        assert count_quantifier_free_td(
+            q, b, decomposition_from_order(g, order, UPPER_BOUND)) == want
+    assert seen == {"absorbed", "bucket semijoin"}
 
 
 def test_dp_rejects_invalid_decompositions():

@@ -234,6 +234,26 @@ def test_cli_input_error_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["count", "decide", "reduce-demo"])
+def test_cli_exit_codes(command, capsys, monkeypatch, tmp_path):
+    def run(query, db=DATA / "triangle.json"):
+        code, _, err = run_cli(capsys, command, "--db", str(db), "--query", str(query))
+        return code, err
+
+    assert run(DATA / "edge.query") == (0, "")
+    unbound = tmp_path / "f.query"
+    unbound.write_text("answer(x) :- F(x,x).")
+    code, err = run(unbound)
+    assert code == 1 and "'F'" in err
+    code, err = run(tmp_path / "absent.query")
+    assert code == 1 and "cannot read" in err
+    code, err = run(DATA / "edge.query", db=tmp_path / "absent.json")
+    assert code == 1 and "error:" in err
+    monkeypatch.setenv("CQCOUNT_BUDGET", "1")
+    code, err = run(DATA / "p3.query")
+    assert code == 2 and "budget" in err
+
+
 def test_cli_vocabulary_agreement_checked(capsys, tmp_path):
     query = tmp_path / "f.query"
     query.write_text("answer(x) :- F(x,x).")
