@@ -7,6 +7,13 @@ an automorphism). Core computation therefore looks for such a retraction,
 restricts to its image, and repeats; the loop strictly shrinks the domain
 and needs no outside promise about treewidth.
 
+Each round builds one search of the structure into itself. A candidate is
+tested by removing it from every domain of that search and restoring arc
+consistency from the constraints on the variables that lost it. This
+reaches the domains, variable order and first solution that a fresh search
+into the substructure without the candidate would, so the core is the same
+as with one such search per candidate, without rebuilding it each time.
+
 The core of a query pins every free variable first (augment), cores the
 pinned structure, and strips the pins again: the pins force every free
 variable to survive, so the free tuple carries over unchanged.
@@ -17,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .homomorphisms import DEFAULT_CONFIG, HomSearchConfig, find_extension
+from .homomorphisms import DEFAULT_CONFIG, HomSearchConfig, _HomSearch
 from .structures import (
     ConjunctiveQuery,
     RelationalStructure,
@@ -29,9 +36,9 @@ from .structures import (
 
 def _find_retraction(a: RelationalStructure, cfg: HomSearchConfig,
                      element_order: Sequence[str]):
+    search = _HomSearch(a, a, cfg)
     for v in element_order:
-        sub = induced_substructure(a, [e for e in a.domain if e != v])
-        h = find_extension(a, sub, cfg=cfg)
+        h = next(search.avoiding(v).solutions(), None)
         if h is not None:
             return h
     return None

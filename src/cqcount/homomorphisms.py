@@ -10,10 +10,11 @@ approximated; running out of budget raises, it does not round.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, List, Mapping, Optional
+from typing import Iterable, Iterator, List, Mapping, Optional
 
 from .errors import InputError, ResourceBudgetError
 from .structures import Assignment, ConjunctiveQuery, RelationalStructure
@@ -96,54 +97,89 @@ class _HomSearch:
             allowed = {t[0] for t in self.dst_rel[name]}
             for t in ts:
                 base[t[0]] = [b for b in base[t[0]] if b in allowed]
+        # Variable -> indices of the constraints it occurs in.
+        self.watch = {v: [] for v in src.domain}
+        for ci, (_, t) in enumerate(self.constraints):
+            for v in set(t):
+                self.watch[v].append(ci)
         if self.feasible and cfg.use_arc_consistency:
-            self.feasible = self._propagate(base)
+            self.feasible = self._propagate(base, range(len(self.constraints)))
+        self._settle(base)
+
+    def _settle(self, base: dict) -> None:
+        # Fix the domains; the first search plans its variable order.
         self.base = base
         self.base_sets = {v: set(dom) for v, dom in base.items()}
-        self.order = sorted(src.domain, key=lambda v: (len(base[v]), v))
+        self.triggers: Optional[List[list]] = None
+
+    def _plan(self) -> None:
+        base = self.base
+        self.order = sorted(base, key=lambda v: (len(base[v]), v))
         pos = {v: i for i, v in enumerate(self.order)}
         # Each constraint is checked as soon as its last variable is set.
-        self.triggers: List[list] = [[] for _ in self.order]
+        self.triggers = [[] for _ in self.order]
         for name, t in self.constraints:
             last = max(pos[v] for v in t)
             self.triggers[last].append((self.dst_rel[name], t))
 
-    def _propagate(self, dom: dict) -> bool:
+    def avoiding(self, value: str) -> _HomSearch:
+        """This search with ``value`` removed from every domain.
+
+        The result searches the homomorphisms whose image misses ``value``.
+        Arc consistency restarts from the constraints on the variables that
+        lost ``value``; since the current domains are already consistent,
+        this reaches the same fixpoint as a search built from scratch into
+        the target minus ``value``, and so the same variable order.
+        """
+        view = object.__new__(_HomSearch)  # shares the instance's index
+        view.__dict__.update(self.__dict__)
+        dom = dict(self.base)
+        changed = [v for v, d in self.base_sets.items() if value in d]
+        for v in changed:
+            dom[v] = [b for b in dom[v] if b != value]
+            if not dom[v]:
+                view.feasible = False
+        if view.feasible and self.cfg.use_arc_consistency:
+            view.feasible = view._propagate(
+                dom, sorted({ci for v in changed for ci in self.watch[v]}))
+        if view.feasible:
+            # An infeasible view yields nothing and never reads its domains.
+            view._settle(dom)
+        return view
+
+    def _propagate(self, dom: dict, start: Iterable[int]) -> bool:
         # Generalized arc consistency: shrink each domain to supported
-        # values, re-queueing constraints that share a shrunk variable.
-        if not self.constraints:
-            return True
-        scopes = [set(t) for _, t in self.constraints]
-        queue = deque(range(len(self.constraints)))
+        # values, re-queueing the constraints on each shrunk variable.
+        queue = deque(start)
         queued = set(queue)
         while queue:
             ci = queue.popleft()
             queued.discard(ci)
             name, t = self.constraints[ci]
-            rel = self.dst_rel[name]
-            domsets = {v: set(dom[v]) for v in scopes[ci]}
-            supported = {v: set() for v in scopes[ci]}
-            for row in rel:
-                bind = {}
-                ok = True
-                for v, b in zip(t, row):
-                    if b not in domsets[v] or bind.setdefault(v, b) != b:
-                        ok = False
-                        break
-                if ok:
-                    for v, b in bind.items():
-                        supported[v].add(b)
-            shrunk = set()
-            for v in scopes[ci]:
-                new = [b for b in dom[v] if b in supported[v]]
+            # The target rows that fit the domains and repeat a value
+            # wherever the constraint repeats a variable.
+            rows = self.dst_rel[name]
+            first = {}
+            for i, v in enumerate(t):
+                if v in first:
+                    j = first[v]
+                    rows = [row for row in rows if row[i] == row[j]]
+                else:
+                    first[v] = i
+                    allowed = set(dom[v])
+                    rows = [row for row in rows if row[i] in allowed]
+            shrunk = []
+            for v, i in first.items():
+                supported = {row[i] for row in rows}
+                new = [b for b in dom[v] if b in supported]
                 if len(new) != len(dom[v]):
-                    dom[v] = new
                     if not new:
                         return False
-                    shrunk.add(v)
-            if shrunk:
-                for cj in range(len(self.constraints)):
-                    if cj != ci and cj not in queued and scopes[cj] & shrunk:
+                    dom[v] = new
+                    shrunk.append(v)
+            for v in shrunk:
+                for cj in self.watch[v]:
+                    if cj != ci and cj not in queued:
                         queue.append(cj)
                         queued.add(cj)
         return True
@@ -160,6 +196,8 @@ class _HomSearch:
             raise InputError(f"pinned values {bad_vals!r} are not in the target domain")
         if not self.feasible:
             return
+        if self.triggers is None:
+            self._plan()
         doms = []
         for v in self.order:
             if v in pins:
@@ -205,7 +243,19 @@ class _HomSearch:
                         yield from extend(i + 1)
             assign.pop(v, None)
 
-        yield from extend(0)
+        if 2 * n < sys.getrecursionlimit():
+            # Too shallow to reach the limit. A generator suspended inside a
+            # try block pays for its handler when it is closed, as every
+            # ``next(search.solutions(...), None)`` closes it.
+            yield from extend(0)
+            return
+        try:
+            yield from extend(0)
+        except RecursionError:
+            raise ResourceBudgetError(
+                f"homomorphism search depth {n} (one level per variable) "
+                f"runs past Python's recursion limit {sys.getrecursionlimit()}"
+            ) from None
 
 
 def find_extension(src: RelationalStructure, dst: RelationalStructure,

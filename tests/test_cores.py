@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -12,14 +13,30 @@ from cqcount import (
     augment,
     core_of_query,
     core_of_structure,
+    count_answers,
     count_answers_brute,
+    drop_relations,
+    find_extension,
     hom_equivalent,
     induced_substructure,
     is_core,
     is_homomorphism,
     iter_homomorphisms,
+    parse_query,
+    render_query,
+    structure_to_dict,
 )
-from cqcount.generators import random_instance, random_structure, random_vocabulary
+from cqcount.cli import main
+from cqcount.generators import (
+    clique_graph,
+    random_instance,
+    random_query,
+    random_structure,
+    random_vocabulary,
+    redundant_variant,
+)
+from cqcount.homomorphisms import _HomSearch
+from cqcount.structures import _with_pins
 
 TRIANGLE = undirected("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 P3 = undirected("abc", [("a", "b"), ("b", "c")])
@@ -151,3 +168,118 @@ def test_same_core_means_same_counts():
 def test_budget_propagates():
     with pytest.raises(ResourceBudgetError):
         core_of_structure(P3, cfg=HomSearchConfig(node_budget=1))
+
+
+# Reference: one fresh search into the induced substructure per candidate.
+# The shared per-round search must give exactly the same results.
+def reference_retraction(a, cfg, order):
+    for v in order:
+        sub = induced_substructure(a, [e for e in a.domain if e != v])
+        h = find_extension(a, sub, cfg=cfg)
+        if h is not None:
+            return h
+    return None
+
+
+def reference_shrink(a, cfg, candidates):
+    current = a
+    while True:
+        present = set(current.domain)
+        h = reference_retraction(current, cfg, [v for v in candidates if v in present])
+        if h is None:
+            return current
+        current = induced_substructure(current, sorted(set(h.values())))
+
+
+def reference_core_of_query(q, cfg):
+    if not q.quantified_vars:
+        return q
+    pinned, names = _with_pins(q.structure, q.free_vars)
+    core = reference_shrink(pinned, cfg, sorted(q.quantified_vars))
+    return ConjunctiveQuery(drop_relations(core, names.values()), q.free_vars)
+
+
+def naive_arc_consistent_domains(src, dst):
+    # Greatest arc-consistent domains by sweeping every tuple to a fixpoint.
+    dom = {v: set(dst.domain) for v in src.domain}
+    changed = True
+    while changed:
+        changed = False
+        for name, ts in src.relations.items():
+            for t in ts:
+                rows = [r for r in dst.tuples(name)
+                        if all(b in dom[v] for v, b in zip(t, r))
+                        and all(r[i] == r[j] for i in range(len(t))
+                                for j in range(len(t)) if t[i] == t[j])]
+                for i, v in enumerate(t):
+                    keep = {r[i] for r in rows}
+                    if dom[v] - keep:
+                        dom[v] &= keep
+                        changed = True
+    return dom
+
+
+def test_arc_consistency_reaches_the_greatest_fixpoint():
+    rng = random.Random(36)
+    wiped = 0
+    for _ in range(200):
+        q, b = random_instance(rng, max_vars=6, max_atoms=6, max_target=4)
+        want = naive_arc_consistent_domains(q.structure, b)
+        search = _HomSearch(q.structure, b)
+        if any(not d for d in want.values()):
+            wiped += 1
+            assert not search.feasible or not all(search.base.values())
+        elif search.feasible:
+            assert {v: set(d) for v, d in search.base.items()} == want
+    assert wiped >= 20
+
+
+def test_shared_search_matches_per_candidate_reference():
+    rng = random.Random(35)
+    configs = [HomSearchConfig(), HomSearchConfig(use_arc_consistency=False)]
+    shrunk = 0
+    for trial in range(150):
+        cfg = configs[trial % 2]
+        a = random_structure(rng, random_vocabulary(rng), max_elements=6)
+        order = sorted(a.domain)
+        search = _HomSearch(a, a, cfg)
+        for v in order:
+            fresh = _HomSearch(a, induced_substructure(a, set(a.domain) - {v}), cfg)
+            view = search.avoiding(v)
+            assert next(view.solutions(), None) == next(fresh.solutions(), None)
+            # A search with an empty domain has no solution, flagged or not.
+            live = fresh.feasible and all(fresh.base.values())
+            assert live == (view.feasible and all(view.base.values()))
+            if live:
+                assert (view.base, view.order) == (fresh.base, fresh.order)
+        assert core_of_structure(a, cfg) == reference_shrink(a, cfg, order)
+        assert is_core(a, cfg) == (reference_retraction(a, cfg, order) is None)
+        rng.shuffle(order)
+        permuted = core_of_structure(a, cfg, element_order=order)
+        assert permuted == reference_shrink(a, cfg, order)
+
+        q = random_query(rng, max_vars=7, max_free=3, max_atoms=6)
+        if rng.random() < 0.5:
+            q = redundant_variant(rng, q)
+        core = core_of_query(q, cfg)
+        assert core == reference_core_of_query(q, cfg)
+        shrunk += len(core.structure.domain) < len(q.structure.domain)
+    assert shrunk >= 20
+
+
+def ends_free_path(length):
+    atoms = ", ".join(f"E(v{i},v{i + 1})" for i in range(length))
+    return parse_query(f"answer(v0,v{length}) :- {atoms}.")
+
+
+def test_deep_ends_free_path_cores_and_counts(tmp_path, capsys):
+    # The path is its own core: every one of its 199 quantified variables
+    # is tried and refused.
+    q, k3 = ends_free_path(200), clique_graph(3)
+    assert core_of_query(q) == q
+    assert count_answers(q, k3) == 9
+    db_path, q_path = tmp_path / "k3.json", tmp_path / "path.query"
+    db_path.write_text(json.dumps(structure_to_dict(k3)))
+    q_path.write_text(render_query(q) + "\n")
+    assert main(["count", "--db", str(db_path), "--query", str(q_path)]) == 0
+    assert capsys.readouterr().out == "9\n"

@@ -12,6 +12,7 @@ from cqcount import (
     ConjunctiveQuery,
     CountingConfig,
     ResourceBudgetError,
+    TrichotomyReport,
     classify,
     component_projection,
     contract,
@@ -27,6 +28,7 @@ from cqcount import (
     primal_graph,
     render_query,
     s_components,
+    star_sizes,
     structure_to_dict,
 )
 from cqcount import counting
@@ -40,6 +42,7 @@ from cqcount.generators import (
     random_instance,
 )
 from cqcount.treewidth import (
+    EXACT,
     UPPER_BOUND,
     DecompositionError,
     TreeDecomposition,
@@ -463,6 +466,58 @@ def test_classify_isomorphism_invariance():
         assert r1.contract_treewidth == r2.contract_treewidth
         assert r1.quantified_star_size == r2.quantified_star_size
         assert r1.strict_star_size == r2.strict_star_size
+
+
+def test_classify_matches_separate_decompositions():
+    # The report assembled from one decompose call per primal graph.
+    rng = random.Random(44)
+    configs = [CountingConfig(), CountingConfig(exact_tw_threshold=3)]
+    kinds = set()
+    for trial in range(120):
+        cfg = configs[trial % 2]
+        q, _ = random_instance(rng, max_vars=7, max_free=4, max_atoms=7)
+        if trial % 3 == 0:
+            q = ConjunctiveQuery(q.structure, q.structure.domain)
+        core = core_of_query(q, cfg.hom)
+        h = hypergraph_of(core)
+        cg = contract(h)
+        core_td = decompose(primal_graph(h), cfg.exact_tw_threshold)
+        contract_td = decompose(primal_graph(cg), cfg.exact_tw_threshold)
+        star, strict = star_sizes(h, cfg.star_size_cap)
+        if contract_td.width >= 2:
+            label = CASE_III
+        elif core_td.width >= 2:
+            label = CASE_II
+        else:
+            label = CASE_I
+        want = TrichotomyReport(
+            core, core_td.width, core_td.exactness == EXACT,
+            cg, contract_td.width, contract_td.exactness == EXACT,
+            star, strict, 2, 2, label)
+        assert classify(q, 2, 2, cfg) == want
+        kinds.add((bool(core.quantified_vars), core_td.exactness, label))
+    assert {quantified for quantified, _, _ in kinds} == {False, True}
+    assert {exactness for _, exactness, _ in kinds} == {EXACT, UPPER_BOUND}
+    assert {label for _, _, label in kinds} == {CASE_I, CASE_II, CASE_III}
+
+
+def test_classify_decomposes_a_quantifier_free_core_once(monkeypatch):
+    calls = []
+
+    def counted(graph, threshold):
+        calls.append(graph)
+        return decompose(graph, threshold)
+
+    monkeypatch.setattr(counting, "decompose", counted)
+    classify(quantifier_free_path_query(4))
+    assert len(calls) == 1
+    calls.clear()
+    # y and z fold onto each other, but y stays quantified in the core
+    forked = ConjunctiveQuery(
+        digraph("xyz", [("x", "y"), ("x", "z")]), ("x",))
+    assert classify(forked).core_query.quantified_vars
+    assert len(calls) == 2
+    assert calls[0] != calls[1]
 
 
 def test_report_consistency_invariant():

@@ -1,12 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cqcount import InputError, load_database, parse_query, render_query
+from cqcount import InputError, load_database, parse_query, render_query, structure_to_dict
 from cqcount.cli import main
-from cqcount.generators import random_query
+from cqcount.generators import clique_graph, random_query
 from cqcount.parsing import DatabaseWarning, QueryWarning
 
 DATA = Path(__file__).parent / "data"
@@ -283,3 +286,25 @@ def test_cli_budget_env_resource_exit(capsys, monkeypatch):
         capsys, "count", "--db", str(DATA / "triangle.json"),
         "--query", str(DATA / "edge.query"))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [["decide"], ["count", "--mode", "brute"]])
+def test_deep_search_is_a_budget_error(argv, capsys, tmp_path):
+    # A 1,500-atom Boolean path into K3 recurses deeper than Python allows.
+    atoms = ", ".join(f"E(v{i},v{i + 1})" for i in range(1500))
+    query = tmp_path / "path.query"
+    query.write_text(f"answer() :- {atoms}.")
+    db = tmp_path / "k3.json"
+    db.write_text(json.dumps(structure_to_dict(clique_graph(3))))
+    args = [*argv, "--db", str(db), "--query", str(query)]
+    message = "resource budget exceeded: homomorphism search depth 1501"
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+    # The same through a fresh interpreter, whose stack starts shallow.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "cqcount.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
