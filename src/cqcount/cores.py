@@ -36,6 +36,8 @@ from .structures import (
 
 def _find_retraction(a: RelationalStructure, cfg: HomSearchConfig,
                      element_order: Sequence[str]):
+    if not element_order:
+        return None
     search = _HomSearch(a, a, cfg)
     for v in element_order:
         h = next(search.avoiding(v).solutions(), None)

@@ -243,12 +243,6 @@ class _HomSearch:
                         yield from extend(i + 1)
             assign.pop(v, None)
 
-        if 2 * n < sys.getrecursionlimit():
-            # Too shallow to reach the limit. A generator suspended inside a
-            # try block pays for its handler when it is closed, as every
-            # ``next(search.solutions(...), None)`` closes it.
-            yield from extend(0)
-            return
         try:
             yield from extend(0)
         except RecursionError:
