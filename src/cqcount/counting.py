@@ -98,7 +98,7 @@ def component_projection(q: ConjunctiveQuery, dst: RelationalStructure,
     induced subquery. The component core is included in the induced set so
     that an isolated quantified variable still demands a target value.
     """
-    scope = tuple(sorted(comp.closure & frozenset(q.free_vars)))
+    scope = comp.free_scope
     if len(scope) > cfg.star_size_cap:
         raise ResourceBudgetError(
             f"component touches {len(scope)} free variables, cap is {cfg.star_size_cap}"

@@ -24,9 +24,12 @@ from .structures import Assignment, ConjunctiveQuery, RelationalStructure
 class HomSearchConfig:
     """Budgets for the search routines.
 
-    ``node_budget`` caps backtracking nodes per search call and
-    ``enumeration_cap`` bounds how many candidate assignments brute-force
-    counting may walk. Exceeding either raises ResourceBudgetError.
+    ``node_budget`` caps backtracking nodes per search call;
+    ``use_arc_consistency`` prunes the domains to arc consistency when a
+    search is built or narrowed by ``avoiding``. ``enumeration_cap``
+    bounds how many candidate assignments brute-force counting may walk,
+    and how many rows a component join in ``lift_to_hypergraph`` may
+    build. Exceeding a budget raises ResourceBudgetError.
     """
 
     node_budget: int = 10_000_000

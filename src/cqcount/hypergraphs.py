@@ -53,12 +53,14 @@ class SComponent:
     """One connected component C of the quantified part, with its closure.
 
     ``touched_edges`` is every edge meeting C; ``closure`` is the union of
-    those edges (C plus the free vertices it reaches).
+    those edges (C plus the free vertices it reaches). ``free_scope`` is
+    the closure's free vertices in sorted order.
     """
 
     component_core: frozenset
     touched_edges: frozenset
     closure: frozenset
+    free_scope: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def s_components(h: SHypergraph) -> List[SComponent]:
         # An isolated quantified vertex has no touched edges; its closure is
         # the empty union, per the definition.
         closure = frozenset().union(*touched) if touched else frozenset()
-        comps.append(SComponent(core, touched, closure))
+        comps.append(SComponent(core, touched, closure, tuple(sorted(closure & h.s_set))))
     return comps
 
 
@@ -166,7 +168,7 @@ def star_sizes(h: SHypergraph, cap: int = DEFAULT_STAR_SIZE_CAP) -> Tuple[int, i
     star = 0
     strict = 0
     for comp in s_components(h):
-        free_here = sorted(comp.closure & h.s_set)
+        free_here = comp.free_scope
         strict = max(strict, len(free_here))
         if len(free_here) > cap:
             raise ResourceBudgetError(
@@ -197,9 +199,8 @@ def contract(h: SHypergraph) -> SHypergraph:
         if r:
             new_edges.add(r)
     for comp in s_components(h):
-        free_here = sorted(comp.closure & h.s_set)
-        for i, u in enumerate(free_here):
-            for v in free_here[i + 1:]:
+        for i, u in enumerate(comp.free_scope):
+            for v in comp.free_scope[i + 1:]:
                 new_edges.add(frozenset((u, v)))
     verts = tuple(v for v in h.vertices if v in h.s_set)
     return SHypergraph(verts, frozenset(new_edges), frozenset(verts))

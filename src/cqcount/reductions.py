@@ -20,7 +20,10 @@ S-hypergraph is rewritten as an instance over the hypergraph itself, one
 single-tuple relation per edge on the left and consistency relations on the
 right (quantified vertices of a component share one value encoding an
 admissible assignment of the free vertices around it). Answer sets are
-preserved element-wise.
+preserved element-wise. The consistency relations are joins of the atoms'
+sparse tables, built with the counting engine's join, so their cost
+follows the rows they hold rather than |D|^(free vertices); the component
+joins are capped at ``enumeration_cap`` rows.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from itertools import product
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cores import is_core
+from .counting import _UNIT, _atom_factor, _join, _key_getter
 from .errors import InputError, InternalError, ResourceBudgetError
 from .homomorphisms import (
     DEFAULT_CONFIG,
@@ -71,8 +75,7 @@ def _pair_id(a: str, b: str) -> str:
     return str((a, b))
 
 
-def pair_structure(a: RelationalStructure, s_vars: Sequence[str],
-                   b: RelationalStructure) -> PairDomainStructure:
+def pair_structure(a: RelationalStructure, b: RelationalStructure) -> PairDomainStructure:
     """Build D: pairs (a, b) with b allowed by a's pin, product relations.
 
     ``b`` must be over a's vocabulary extended by the pin relations of
@@ -184,7 +187,7 @@ def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
     """
     if not is_core(augment(q), cfg):
         raise InputError("the pinned (augmented) query structure must be a core")
-    dstruct = pair_structure(q.structure, q.free_vars, b)
+    dstruct = pair_structure(q.structure, b)
     auto = free_automorphism_set(q, cfg)
     s = len(q.free_vars)
     nodes = list(range(1, s + 2))
@@ -220,6 +223,12 @@ def _edge_key(e: frozenset) -> tuple:
     return tuple(sorted(e))
 
 
+def _rows_over(scope: Tuple[str, ...], factor: Tuple[tuple, dict]) -> frozenset:
+    """A factor's rows, reordered to list ``scope``'s variables in order."""
+    order = _key_getter([factor[0].index(v) for v in scope])
+    return frozenset(order(row) for row in factor[1])
+
+
 def _same_shypergraph(h1: SHypergraph, h2: SHypergraph) -> bool:
     return (
         set(h1.vertices) == set(h2.vertices)
@@ -230,8 +239,7 @@ def _same_shypergraph(h1: SHypergraph, h2: SHypergraph) -> bool:
 
 def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
                        target: SHypergraph,
-                       cfg: HomSearchConfig = DEFAULT_CONFIG,
-                       star_size_cap: int = 20) -> Tuple[ConjunctiveQuery, RelationalStructure]:
+                       cfg: HomSearchConfig = DEFAULT_CONFIG) -> Tuple[ConjunctiveQuery, RelationalStructure]:
     """Rewrite an instance over contract(target) as one over target itself.
 
     The query's S-hypergraph must equal the contract exactly. The result has
@@ -239,61 +247,49 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     a component constrain their quantified vertices to a shared element that
     encodes an admissible assignment of the component's free vertices.
     Answer sets are preserved element-wise.
+
+    Every table is a join of sparse tables built from the target's tuples:
+    an edge's constraint joins the atoms whose variable set is that edge,
+    and a component's admissible assignments join the edge constraints
+    inside its free scope. The row budget is ``cfg.enumeration_cap``: a
+    component join that builds more rows raises ResourceBudgetError.
     """
     ct = contract(target)
     if not _same_shypergraph(hypergraph_of(q), ct):
         raise InputError("the query's S-hypergraph must equal the contract of the target")
 
-    # Normalise the contract instance: one constraint relation per edge,
-    # tuples over the edge's sorted variables, conjoining every atom with
-    # that variable set.
-    values = sorted(b.domain)
-    edge_constraints: Dict[frozenset, frozenset] = {}
-    for e in sorted(ct.edges, key=_edge_key):
-        scope = _edge_key(e)
-        atoms = [
-            (name, t)
-            for name, ts in sorted(q.structure.relations.items())
-            for t in sorted(ts)
-            if frozenset(t) == e
-        ]
-        if len(values) ** len(scope) > cfg.enumeration_cap:
-            raise ResourceBudgetError("edge constraint enumeration exceeds the cap")
-        rows = set()
-        for combo in product(values, repeat=len(scope)):
-            bind = dict(zip(scope, combo))
-            if all(tuple(bind[v] for v in t) in b.tuples(name) for name, t in atoms):
-                rows.add(combo)
-        edge_constraints[e] = frozenset(rows)
+    # One constraint per contract edge, conjoining every atom with that
+    # variable set; its rows are read out over the edge's sorted variables.
+    edge_tables: Dict[frozenset, Tuple[tuple, dict]] = {}
+    for name, t in q.structure.atoms():
+        if t:
+            factor = _atom_factor(t, b.tuples(name))
+            e = frozenset(t)
+            edge_tables[e] = _join(edge_tables[e], factor) if e in edge_tables else factor
 
     # Encoded component elements must not collide with target values; bump
     # the tag until they cannot.
+    values = sorted(b.domain)
     tag = "__scomp"
-    value_set = set(values)
-    while any(v.startswith(f"('{tag}_") for v in value_set):
+    while any(v.startswith(f"('{tag}_") for v in values):
         tag = "_" + tag
 
+    # A component's admissible assignments join the contract edges inside
+    # its closure. Every free vertex of the closure lies in a touched edge,
+    # whose free part is such a contract edge, so the joins cover the scope.
     comps = s_components(target)
     comp_rows: List[dict] = []
     for ci, comp in enumerate(comps):
-        scope = tuple(sorted(comp.closure & target.s_set))
-        if len(scope) > star_size_cap:
-            raise ResourceBudgetError(
-                f"component touches {len(scope)} free vertices, cap is {star_size_cap}"
-            )
-        if len(values) ** len(scope) > cfg.enumeration_cap:
-            raise ResourceBudgetError("component enumeration exceeds the cap")
-        inner_edges = [e for e in ct.edges if e <= set(scope)]
-        rows = {}
-        for combo in product(values, repeat=len(scope)):
-            bind = dict(zip(scope, combo))
-            ok = all(
-                tuple(bind[v] for v in _edge_key(e)) in edge_constraints[e]
-                for e in inner_edges
-            )
-            if ok:
-                rows[str((f"{tag}_{ci}", combo))] = bind
-        comp_rows.append(rows)
+        table = _UNIT
+        for e in sorted(ct.edges, key=_edge_key):
+            if e <= comp.closure:
+                table = _join(table, edge_tables[e])
+                if len(table[1]) > cfg.enumeration_cap:
+                    raise ResourceBudgetError(
+                        f"component join built {len(table[1])} rows, cap is {cfg.enumeration_cap}"
+                    )
+        comp_rows.append({str((f"{tag}_{ci}", row)): dict(zip(comp.free_scope, row))
+                          for row in _rows_over(comp.free_scope, table)})
 
     comp_of: Dict[str, int] = {}
     for ci, comp in enumerate(comps):
@@ -311,7 +307,7 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
         left_rels[name] = frozenset({scope})
         quantified = [v for v in scope if v not in target.s_set]
         if not quantified:
-            right_rels[name] = edge_constraints[e]
+            right_rels[name] = _rows_over(scope, edge_tables[e])
         else:
             ci = comp_of[quantified[0]]
             rows = set()

@@ -178,7 +178,7 @@ def test_criterion_5_interpolation_pipeline():
         if len(core.free_vars) < 1:
             continue
         bstar = _with_random_pins(rng, core.structure, b)
-        d = pair_structure(core.structure, core.free_vars, bstar)
+        d = pair_structure(core.structure, bstar)
         s = len(core.free_vars)
         for mask in range(1 << s):
             t_subset = {v for i, v in enumerate(core.free_vars) if mask >> i & 1}

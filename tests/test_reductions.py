@@ -6,9 +6,11 @@ from conftest import digraph, structure
 
 from cqcount import (
     ConjunctiveQuery,
+    HomSearchConfig,
     InputError,
     InternalError,
     RelationalStructure,
+    ResourceBudgetError,
     Vocabulary,
     are_isomorphic,
     blowup,
@@ -69,7 +71,7 @@ def test_pair_structure_unrestricted_pins():
     a = digraph("xy", [("x", "y")])
     b = digraph("uv", [("u", "v"), ("v", "u")])
     bstar = with_pins(rng, a, b, full=True)
-    d = pair_structure(a, ("x", "y"), b=bstar)
+    d = pair_structure(a, b=bstar)
     assert len(d.structure.domain) == 4  # the full product
     assert len(d.structure.tuples("E")) == 2  # (x,y) paired with both arcs
 
@@ -81,7 +83,7 @@ def test_pair_structure_empty_pin_blocks_element():
     symbols = {"E": 2, pins["x"]: 1, pins["y"]: 1}
     bstar = structure(symbols, "uv",
                       {"E": {("u", "v")}, pins["x"]: set(), pins["y"]: {("u",), ("v",)}})
-    d = pair_structure(a, ("x", "y"), bstar)
+    d = pair_structure(a, bstar)
     assert all(d.first_coordinate(e) != "x" for e in d.structure.domain)
 
 
@@ -92,7 +94,7 @@ def test_pair_structure_projection_is_homomorphism():
         a = random_structure(rng, vocab, max_elements=3)
         b = random_structure(rng, vocab, max_elements=3)
         bstar = with_pins(rng, a, b)
-        d = pair_structure(a, tuple(a.domain), bstar)
+        d = pair_structure(a, bstar)
         projection = {e: d.first_coordinate(e) for e in d.structure.domain}
         assert is_homomorphism(d.structure, a, projection)
 
@@ -101,14 +103,14 @@ def test_pair_structure_requires_pin_relations():
     a = digraph("xy", [("x", "y")])
     b = digraph("uv", [("u", "v")])
     with pytest.raises(InputError):
-        pair_structure(a, ("x", "y"), b)
+        pair_structure(a, b)
 
 
 def test_blowup_identities():
     rng = random.Random(52)
     a = digraph("xy", [("x", "y")])
     b = digraph("uv", [("u", "v"), ("v", "u")])
-    d = pair_structure(a, ("x", "y"), with_pins(rng, a, b, full=True))
+    d = pair_structure(a, with_pins(rng, a, b, full=True))
 
     assert blowup(d, [], 5) == d.structure
     assert are_isomorphic(blowup(d, ["x"], 1), d.structure)
@@ -129,7 +131,7 @@ def test_blowup_small_concrete():
     pins = pin_relation_names(a)
     bstar = structure({"E": 2, pins["x"]: 1, pins["y"]: 1}, "u",
                       {"E": {("u", "u")}, pins["x"]: {("u",)}, pins["y"]: {("u",)}})
-    d = pair_structure(a, ("x", "y"), bstar)
+    d = pair_structure(a, bstar)
     assert len(d.structure.domain) == 2
     blown = blowup(d, ["x"], 3)
     assert len(blown.domain) == 4
@@ -178,7 +180,7 @@ def test_blowup_counting_identity():
         core, bstar = random_core_query_with_target(rng, max_free=2)
         if not (1 <= len(core.free_vars) <= 2):
             continue
-        d = pair_structure(core.structure, core.free_vars, bstar)
+        d = pair_structure(core.structure, bstar)
         s = len(core.free_vars)
         for mask in range(1 << s):
             t_subset = {v for i, v in enumerate(core.free_vars) if mask >> i & 1}
@@ -196,7 +198,7 @@ def test_identity_bijection_with_pinned_answers():
     rng = random.Random(54)
     for _ in range(40):
         core, bstar = random_core_query_with_target(rng, max_free=3)
-        d = pair_structure(core.structure, core.free_vars, bstar)
+        d = pair_structure(core.structure, bstar)
         pinned = count_answers_brute(starred_query(core), bstar)
         identity_like = sum(
             1
@@ -212,7 +214,7 @@ def test_cover_equals_identity_times_automorphisms():
     rng = random.Random(55)
     for _ in range(30):
         core, bstar = random_core_query_with_target(rng, max_free=3)
-        d = pair_structure(core.structure, core.free_vars, bstar)
+        d = pair_structure(core.structure, bstar)
         free = core.free_vars
         cover = 0
         identity_like = 0
@@ -272,21 +274,31 @@ def test_count_star_requires_core():
 
 
 def generic_contract_instance(rng, target_h, n_values=3, density=0.7):
-    """A random instance over contract(target): one relation per edge."""
+    """A random instance over contract(target): one to three atoms per edge.
+
+    Each atom lists its edge's variables in shuffled order, sometimes with
+    one of them repeated; about one instance in ten has no target values.
+    """
     ct = contract(target_h)
+    if rng.random() < 0.1:
+        n_values = 0
     elems = tuple(f"d{i}" for i in range(n_values))
     symbols = {}
     lrels = {}
     rrels = {}
-    for i, e in enumerate(sorted(ct.edges, key=lambda e: sorted(e))):
-        scope = tuple(sorted(e))
-        name = f"Q{i}"
-        symbols[name] = len(scope)
-        lrels[name] = {scope}
-        rrels[name] = {
-            t for t in product(elems, repeat=len(scope)) if rng.random() < density
-        }
-    vocab = Vocabulary(symbols)
+    for e in sorted(ct.edges, key=lambda e: sorted(e)):
+        for _ in range(rng.randint(1, 3)):
+            scope = sorted(e)
+            rng.shuffle(scope)
+            if rng.random() < 0.3:
+                scope.insert(rng.randrange(len(scope) + 1), rng.choice(scope))
+            name = f"Q{len(symbols)}"
+            symbols[name] = len(scope)
+            lrels[name] = {tuple(scope)}
+            rrels[name] = {
+                t for t in product(elems, repeat=len(scope)) if rng.random() < density
+            }
+    vocab = Vocabulary(symbols, arity_cap=max([8, *symbols.values()]))
     left = ConjunctiveQuery(
         RelationalStructure(vocab, tuple(ct.vertices), lrels), tuple(ct.vertices))
     right = RelationalStructure(vocab, elems, rrels)
@@ -295,17 +307,18 @@ def generic_contract_instance(rng, target_h, n_values=3, density=0.7):
 
 def test_lift_quantifier_free_is_renaming():
     rng = random.Random(60)
-    q = random_query(rng, max_vars=4, max_free=4)
-    h = hypergraph_of(ConjunctiveQuery(q.structure, tuple(q.structure.domain)))
-    left, right = generic_contract_instance(rng, h)
-    lifted_q, lifted_b = lift_to_hypergraph(left, right, h)
-    assert set(enumerate_answers(left, right)) == set(
-        enumerate_answers(lifted_q, lifted_b))
+    for _ in range(20):
+        q = random_query(rng, max_vars=4, max_free=4)
+        h = hypergraph_of(ConjunctiveQuery(q.structure, tuple(q.structure.domain)))
+        left, right = generic_contract_instance(rng, h)
+        lifted_q, lifted_b = lift_to_hypergraph(left, right, h)
+        assert set(enumerate_answers(left, right)) == set(
+            enumerate_answers(lifted_q, lifted_b))
 
 
 def test_lift_star_target():
     rng = random.Random(61)
-    for leaves in (2, 3):
+    for leaves in (1, 2, 3) * 10:
         target = hypergraph_of(quantified_star_query(leaves))
         left, right = generic_contract_instance(rng, target)
         lifted_q, lifted_b = lift_to_hypergraph(left, right, target)
@@ -338,6 +351,27 @@ def test_lift_with_isolated_free_vertex():
         lifted_q, lifted_b = lift_to_hypergraph(left, right, target)
         assert set(enumerate_answers(left, right)) == set(
             enumerate_answers(lifted_q, lifted_b))
+
+
+def test_lift_row_budget():
+    # every leaf takes any of three values and every pair of leaves must be
+    # equal, so the component join builds 3 rows where |D|^3 is 27
+    target = hypergraph_of(quantified_star_query(3))
+    ct = contract(target)
+    vocab = Vocabulary({"U": 1, "Eq": 2})
+    left = ConjunctiveQuery(RelationalStructure(vocab, tuple(ct.vertices), {
+        "U": {(v,) for v in ct.vertices},
+        "Eq": {tuple(sorted(e)) for e in ct.edges if len(e) == 2},
+    }), tuple(ct.vertices))
+    elems = ("0", "1", "2")
+    right = RelationalStructure(
+        vocab, elems, {"U": {(x,) for x in elems}, "Eq": {(x, x) for x in elems}})
+    with pytest.raises(ResourceBudgetError):
+        lift_to_hypergraph(left, right, target, HomSearchConfig(enumeration_cap=2))
+    for cfg in (HomSearchConfig(enumeration_cap=3), HomSearchConfig()):
+        lifted_q, lifted_b = lift_to_hypergraph(left, right, target, cfg)
+        assert set(enumerate_answers(lifted_q, lifted_b)) == {
+            (x, x, x) for x in elems}
 
 
 def test_lift_rejects_mismatched_hypergraph():
