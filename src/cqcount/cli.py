@@ -117,11 +117,7 @@ def _cmd_reduce_demo(args) -> int:
     for name in pins.values():
         symbols[name] = 1
         relations[name] = {(e,) for e in db.domain}
-    extended = RelationalStructure(
-        Vocabulary(symbols, arity_cap=max(db.vocabulary.arity_cap, 1)),
-        db.domain,
-        relations,
-    )
+    extended = RelationalStructure(Vocabulary(symbols), db.domain, relations)
     pipeline = count_star_via_oracle(
         core, extended, lambda right: count_answers(core, right, cfg), cfg.hom
     )

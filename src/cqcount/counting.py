@@ -20,7 +20,6 @@ underlying theory classifies query classes, not individual queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +27,7 @@ from .cores import core_of_query
 from .errors import InputError, ResourceBudgetError
 from .homomorphisms import (
     HomSearchConfig,
-    _HomSearch,
+    _answer_iter,
     check_vocabulary,
     count_answers_brute,
 )
@@ -69,7 +68,12 @@ COMPONENT_PREFIX = "__comp_"
 
 @dataclass(frozen=True)
 class CountingConfig:
-    """Caps and mode selection for count_answers."""
+    """Caps and mode selection for count_answers.
+
+    ``star_size_cap`` bounds only the exponential independent-set search in
+    ``star_sizes``; a component projection is bounded by
+    ``hom.enumeration_cap`` alone, like brute-force counting.
+    """
 
     mode: str = MODE_AUTO
     brute_cap: int = 10_000_000
@@ -97,27 +101,14 @@ def component_projection(q: ConjunctiveQuery, dst: RelationalStructure,
     their value tuples that extend to a homomorphism of the component's
     induced subquery. The component core is included in the induced set so
     that an isolated quantified variable still demands a target value.
+    The rows are the answers of that subquery with the touched free
+    variables as its head, found by the brute-force answer loop, so
+    ``cfg.hom.enumeration_cap`` bounds the |target domain|^|scope|
+    candidate tuples it may walk (ResourceBudgetError beyond it).
     """
-    scope = comp.free_scope
-    if len(scope) > cfg.star_size_cap:
-        raise ResourceBudgetError(
-            f"component touches {len(scope)} free variables, cap is {cfg.star_size_cap}"
-        )
-    total = len(dst.domain) ** len(scope)
-    if total > cfg.hom.enumeration_cap:
-        raise ResourceBudgetError(
-            f"component projection needs {total} assignments, cap is "
-            f"{cfg.hom.enumeration_cap}"
-        )
     sub = induced_substructure(q.structure, comp.closure | comp.component_core)
-    search = _HomSearch(sub, dst, cfg.hom)
-    values = sorted(dst.domain)
-    rows = set()
-    for combo in product(values, repeat=len(scope)):
-        pins = dict(zip(scope, combo))
-        if next(search.solutions(pins), None) is not None:
-            rows.add(combo)
-    return scope, frozenset(rows)
+    rows = _answer_iter(ConjunctiveQuery(sub, comp.free_scope), dst, cfg.hom)
+    return comp.free_scope, frozenset(rows)
 
 
 def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
@@ -142,16 +133,13 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     for name, ts in q.structure.relations.items():
         left_rels[name] = frozenset(t for t in ts if set(t) <= free)
     right_rels: Dict[str, frozenset] = {name: dst.tuples(name) for name in left_symbols}
-    max_arity = max(left_symbols.values(), default=0)
     for i, comp in enumerate(comps):
         scope, rows = component_projection(q, dst, comp, cfg)
         name = f"{COMPONENT_PREFIX}{i}"
         left_symbols[name] = len(scope)
         left_rels[name] = frozenset({scope})
         right_rels[name] = rows
-        max_arity = max(max_arity, len(scope))
-    cap = max(q.structure.vocabulary.arity_cap, max_arity)
-    vocab = Vocabulary(left_symbols, arity_cap=cap)
+    vocab = Vocabulary(left_symbols)
     left = RelationalStructure(vocab, q.free_vars, left_rels)
     right = RelationalStructure(vocab, dst.domain, right_rels)
     return ConjunctiveQuery(left, q.free_vars), right

@@ -27,9 +27,10 @@ class HomSearchConfig:
     ``node_budget`` caps backtracking nodes per search call;
     ``use_arc_consistency`` prunes the domains to arc consistency when a
     search is built or narrowed by ``avoiding``. ``enumeration_cap``
-    bounds how many candidate assignments brute-force counting may walk,
-    and how many rows a component join in ``lift_to_hypergraph`` may
-    build. Exceeding a budget raises ResourceBudgetError.
+    bounds how many candidate assignments brute-force counting and each
+    component projection in ``contract_instance`` may walk, and how many
+    rows a component join in ``lift_to_hypergraph`` may build. Exceeding
+    a budget raises ResourceBudgetError.
     """
 
     node_budget: int = 10_000_000

@@ -24,7 +24,6 @@ from typing import List, Tuple, Union
 
 from .errors import InputError
 from .structures import (
-    DEFAULT_ARITY_CAP,
     ConjunctiveQuery,
     RelationalStructure,
     RESERVED_PREFIX,
@@ -33,6 +32,8 @@ from .structures import (
 )
 
 HEAD_NAME = "answer"
+# Arities of user relations, in queries and databases alike, lie in 1..8.
+DEFAULT_ARITY_CAP = 8
 
 
 class QueryWarning(UserWarning):
@@ -159,6 +160,8 @@ def parse_query(text: str) -> ConjunctiveQuery:
             raise InputError(
                 f"relation {name!r} is used with arities {arities[name]} and {len(args)}"
             )
+        if len(args) > DEFAULT_ARITY_CAP:
+            raise InputError(f"relation {name!r} has arity {len(args)}, outside 1..{DEFAULT_ARITY_CAP}")
         arities[name] = len(args)
     body_vars = {v for _, args in atoms for v in args}
     for v in head_vars:
@@ -173,8 +176,7 @@ def parse_query(text: str) -> ConjunctiveQuery:
     relations = {}
     for name, args in atoms:
         relations.setdefault(name, set()).add(args)
-    vocab = Vocabulary(arities, arity_cap=DEFAULT_ARITY_CAP)
-    structure = RelationalStructure(vocab, tuple(domain), relations)
+    structure = RelationalStructure(Vocabulary(arities), tuple(domain), relations)
     return ConjunctiveQuery(structure, tuple(head_vars))
 
 
@@ -196,8 +198,8 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
     """Load a database file, enforcing the user-facing restrictions.
 
     Relation names must not use the reserved prefix, arities must lie in
-    1..8, and elements must be strings. Duplicate tuples are collapsed with
-    a warning.
+    1..8 as in queries (structures themselves accept any arity), and
+    elements must be strings. Duplicate tuples are collapsed with a warning.
     """
     path = Path(path)
     try:
@@ -231,4 +233,4 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
                     DatabaseWarning,
                     stacklevel=2,
                 )
-    return structure_from_dict(data, arity_cap=DEFAULT_ARITY_CAP)
+    return structure_from_dict(data)

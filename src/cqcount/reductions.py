@@ -44,7 +44,6 @@ from .homomorphisms import (
 )
 from .hypergraphs import SHypergraph, contract, hypergraph_of, s_components
 from .structures import (
-    DEFAULT_ARITY_CAP,
     ConjunctiveQuery,
     RelationalStructure,
     Vocabulary,
@@ -101,8 +100,7 @@ def pair_structure(a: RelationalStructure, b: RelationalStructure) -> PairDomain
             for tb in b.tuples(name):
                 if all(pair in allowed for pair in zip(ta, tb)):
                     rels[name].add(tuple(_pair_id(x, y) for x, y in zip(ta, tb)))
-    vocab = Vocabulary(dict(a.vocabulary.symbols), arity_cap=a.vocabulary.arity_cap)
-    structure = RelationalStructure(vocab, dom, {k: frozenset(v) for k, v in rels.items()})
+    structure = RelationalStructure(a.vocabulary, dom, {k: frozenset(v) for k, v in rels.items()})
     projection = {e: pair_of[e][0] for e in dom}
     if not is_homomorphism(structure, a, projection):
         raise InternalError("first-coordinate projection failed to be a homomorphism")
@@ -332,8 +330,7 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
         left_rels[name] = frozenset({(v,)})
         right_rels[name] = frozenset((x,) for x in values)
 
-    cap = max([DEFAULT_ARITY_CAP] + [len(e) for e in target_edges])
-    vocab = Vocabulary(left_symbols, arity_cap=cap)
+    vocab = Vocabulary(left_symbols)
     left_domain = tuple(target.vertices)
     right_domain = tuple(values) + tuple(
         sorted(key for rows in comp_rows for key in rows)

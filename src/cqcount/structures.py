@@ -14,7 +14,7 @@ silently collapsed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError
@@ -28,8 +28,6 @@ RESERVED_PREFIX = "__"
 PIN_PREFIX_BASE = "__aug"
 _PIN_NAME_RE = re.compile(r"^__aug\d*_")
 
-DEFAULT_ARITY_CAP = 8
-
 # A (partial) map from query variables to target elements.
 Assignment = Dict[str, str]
 
@@ -38,15 +36,14 @@ Assignment = Dict[str, str]
 class Vocabulary:
     """Relation symbols with fixed arities.
 
-    The arity cap bounds every declared arity; it is compared nowhere
-    (two vocabularies with the same symbols are equal regardless of cap).
-    Arity 0 is permitted at this level: the counting pipeline represents
-    Boolean subproblems as 0-ary relations. User input goes through the
-    parser and database loader, which both require arity >= 1.
+    Any non-negative arity is permitted at this level: the counting
+    pipeline represents Boolean subproblems as 0-ary relations, and a
+    component relation's arity is the number of free variables the
+    component touches. User input goes through the parser and database
+    loader, which both require arities in 1..8.
     """
 
     symbols: Mapping[str, int]
-    arity_cap: int = field(default=DEFAULT_ARITY_CAP, compare=False)
 
     def __post_init__(self) -> None:
         symbols = dict(self.symbols)
@@ -55,10 +52,6 @@ class Vocabulary:
                 raise InputError("relation names must be non-empty strings")
             if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
                 raise InputError(f"arity of {name!r} must be a non-negative integer")
-            if arity > self.arity_cap:
-                raise InputError(
-                    f"arity {arity} of {name!r} exceeds the arity cap {self.arity_cap}"
-                )
         object.__setattr__(self, "symbols", symbols)
 
     def arity(self, name: str) -> int:
@@ -66,9 +59,6 @@ class Vocabulary:
             return self.symbols[name]
         except KeyError:
             raise InputError(f"unknown relation symbol {name!r}") from None
-
-    def names(self) -> list:
-        return sorted(self.symbols)
 
 
 @dataclass(frozen=True)
@@ -182,14 +172,13 @@ def _pin_names(vocab: Vocabulary, elements: Tuple[str, ...]) -> Dict[str, str]:
         bump += 1
 
 
-def pin_relation_names(a: RelationalStructure, elements: Iterable = None) -> Dict[str, str]:
-    """The unary relation names ``star_structure`` / ``augment`` would add.
+def pin_relation_names(a: RelationalStructure) -> Dict[str, str]:
+    """The unary relation names ``star_structure`` would add.
 
     Exposed so callers building companion structures over the extended
     vocabulary (for the interpolation reduction) use identical names.
     """
-    elems = tuple(a.domain if elements is None else elements)
-    return _pin_names(a.vocabulary, elems)
+    return _pin_names(a.vocabulary, a.domain)
 
 
 def _with_pins(a: RelationalStructure, elements: Tuple[str, ...]):
@@ -199,8 +188,7 @@ def _with_pins(a: RelationalStructure, elements: Tuple[str, ...]):
     for e in elements:
         symbols[names[e]] = 1
         rels[names[e]] = frozenset({(e,)})
-    vocab = Vocabulary(symbols, arity_cap=max(a.vocabulary.arity_cap, 1))
-    return RelationalStructure(vocab, a.domain, rels), names
+    return RelationalStructure(Vocabulary(symbols), a.domain, rels), names
 
 
 def augment(q: ConjunctiveQuery) -> RelationalStructure:
@@ -230,8 +218,7 @@ def drop_relations(a: RelationalStructure, names: Iterable) -> RelationalStructu
         raise InputError(f"cannot drop unknown relations {unknown!r}")
     symbols = {n: r for n, r in a.vocabulary.symbols.items() if n not in gone}
     rels = {n: ts for n, ts in a.relations.items() if n not in gone}
-    vocab = Vocabulary(symbols, arity_cap=a.vocabulary.arity_cap)
-    return RelationalStructure(vocab, a.domain, rels)
+    return RelationalStructure(Vocabulary(symbols), a.domain, rels)
 
 
 def strip_pin_relations(a: RelationalStructure) -> RelationalStructure:
@@ -253,13 +240,14 @@ def structure_to_dict(a: RelationalStructure) -> dict:
     }
 
 
-def structure_from_dict(data: dict, arity_cap: int = DEFAULT_ARITY_CAP) -> RelationalStructure:
+def structure_from_dict(data: dict) -> RelationalStructure:
     """Inverse of :func:`structure_to_dict`.
 
     The domain is the declared list (order kept) extended by any tuple
     elements it missed, in sorted order. This function accepts reserved
-    ("__"-prefixed) names and arity 0 so internal structures round-trip;
-    the database loader layers user-facing restrictions on top.
+    ("__"-prefixed) names and any non-negative arity, 0 and above 8
+    included, so internal structures round-trip; the database loader
+    layers user-facing restrictions on top.
     """
     if not isinstance(data, dict):
         raise InputError("structure data must be a JSON object")
@@ -291,6 +279,4 @@ def structure_from_dict(data: dict, arity_cap: int = DEFAULT_ARITY_CAP) -> Relat
         relations[name] = frozenset(rows)
     dom = list(dict.fromkeys(declared))
     dom.extend(sorted(extra - set(dom)))
-    cap = max([arity_cap] + list(symbols.values())) if symbols else arity_cap
-    vocab = Vocabulary(symbols, arity_cap=cap)
-    return RelationalStructure(vocab, tuple(dom), relations)
+    return RelationalStructure(Vocabulary(symbols), tuple(dom), relations)

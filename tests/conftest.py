@@ -9,8 +9,8 @@ from itertools import product
 from cqcount import RelationalStructure, Vocabulary, is_homomorphism
 
 
-def structure(symbols, domain, relations, **kwargs):
-    return RelationalStructure(Vocabulary(symbols, **kwargs), tuple(domain), relations)
+def structure(symbols, domain, relations):
+    return RelationalStructure(Vocabulary(symbols), tuple(domain), relations)
 
 
 def digraph(domain, arcs):

@@ -139,8 +139,7 @@ def _with_random_pins(rng, base, b):
     for elem, name in pins.items():
         symbols[name] = 1
         relations[name] = {(x,) for x in b.domain if rng.random() < 0.8}
-    vocab = Vocabulary(symbols, arity_cap=max(b.vocabulary.arity_cap, 1))
-    return RelationalStructure(vocab, b.domain, relations)
+    return RelationalStructure(Vocabulary(symbols), b.domain, relations)
 
 
 def _pipeline_cases(rng, count):

@@ -3,7 +3,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import digraph, structure
+from conftest import digraph, naive_answer_set, structure
 
 from cqcount import (
     CASE_I,
@@ -11,6 +11,8 @@ from cqcount import (
     CASE_III,
     ConjunctiveQuery,
     CountingConfig,
+    HomSearchConfig,
+    RelationalStructure,
     ResourceBudgetError,
     TrichotomyReport,
     classify,
@@ -89,6 +91,20 @@ def test_component_projection_distance_two():
     assert rows == frozenset(expected)
 
 
+def test_component_projection_budget_is_the_enumeration_cap():
+    star = quantified_star_query(3)
+    b = digraph("uvw", [("u", "u"), ("u", "v"), ("w", "w")])
+    comp = s_components(hypergraph_of(star))[0]
+    over = CountingConfig(hom=HomSearchConfig(enumeration_cap=3 ** 3 - 1))
+    with pytest.raises(ResourceBudgetError, match="enumeration cap"):
+        component_projection(star, b, comp, over)
+    exact = CountingConfig(hom=HomSearchConfig(enumeration_cap=3 ** 3))
+    scope, rows = component_projection(star, b, comp, exact)
+    assert scope == ("s1", "s2", "s3")
+    assert rows == frozenset(product("uv", repeat=3)) | {("w", "w", "w")}
+    assert component_projection(star, b, comp) == (scope, rows)
+
+
 def test_contract_instance_quantifier_free_is_identity():
     q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x", "y"))
     left, right = contract_instance(q, TRIANGLE)
@@ -113,6 +129,26 @@ def test_contract_instance_star():
     assert right.tuples(fresh) == frozenset(expected)
 
 
+def test_contract_instance_wider_than_user_arities():
+    # the strict star size, 9, exceeds the 1..8 limit on user relations
+    star = quantified_star_query(9)
+    b = digraph("uvw", [("u", "u"), ("u", "v"), ("w", "w")])
+    left, right = contract_instance(star, b)
+    fresh = f"{COMPONENT_PREFIX}0"
+    assert left.structure.vocabulary.arity(fresh) == 9
+    assert len(right.tuples(fresh)) == 2 ** 9 + 1
+    assert count_answers(star, b, STRUCTURAL) == 2 ** 9 + 1
+
+
+def test_star_over_the_star_size_cap_is_counted():
+    # star_size_cap bounds star_sizes only; the projection has 1^21 = 1 candidate
+    star = quantified_star_query(21)
+    loop = digraph("u", [("u", "u")])
+    assert count_answers(star, loop) == 1
+    with pytest.raises(ResourceBudgetError):
+        classify(star)
+
+
 def test_contract_instance_boolean_components():
     q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ())
     left, right = contract_instance(q, TRIANGLE)
@@ -133,6 +169,32 @@ def test_contract_instance_preserves_answer_sets():
         core = core_of_query(q)
         left, right = contract_instance(core, b)
         assert set(enumerate_answers(core, b)) == set(enumerate_answers(left, right))
+
+
+def test_contract_instance_matches_naive_oracle():
+    # Against the enumeration oracle of conftest, independent of the search
+    # that builds the projections, on the shapes a contract must get right.
+    rng = random.Random(46)
+    seen = set()
+    for trial in range(160):
+        q, b = random_instance(rng, max_vars=5, max_free=3, max_target=3)
+        if trial % 6 == 0:
+            b = RelationalStructure(b.vocabulary, (), {})
+        used = {v for _, t in q.structure.atoms() for v in t}
+        for query in (q, core_of_query(q)):
+            left, right = contract_instance(query, b)
+            assert naive_answer_set(left, right) == naive_answer_set(q, b)
+            arities = left.structure.vocabulary.symbols
+            if any(arities[n] == 0 for n in arities if n.startswith(COMPONENT_PREFIX)):
+                seen.add("boolean component")
+        if set(q.quantified_vars) - used:
+            seen.add("isolated quantified variable")
+        if any(len(set(t)) < len(t) for _, t in q.structure.atoms()):
+            seen.add("repeated variable")
+        if not b.domain:
+            seen.add("empty target domain")
+    assert seen == {"boolean component", "isolated quantified variable",
+                    "repeated variable", "empty target domain"}
 
 
 def test_contracted_hypergraph_matches_contract_of_core():
@@ -455,8 +517,7 @@ def test_classify_isomorphism_invariance():
         }
         renamed = ConjunctiveQuery(
             structure(dict(q.structure.vocabulary.symbols),
-                      [renaming[v] for v in q.structure.domain], relations,
-                      arity_cap=q.structure.vocabulary.arity_cap),
+                      [renaming[v] for v in q.structure.domain], relations),
             tuple(renaming[v] for v in q.free_vars),
         )
         r1 = classify(q)

@@ -13,6 +13,7 @@ from cqcount.generators import clique_graph, random_query
 from cqcount.parsing import DatabaseWarning, QueryWarning
 
 DATA = Path(__file__).parent / "data"
+NINE_ARY = "answer(a) :- R(a,b,c,d,e,f,g,h,i)."
 
 
 def count_equal(q1, q2):
@@ -65,6 +66,9 @@ def test_parse_semantic_errors():
         parse_query("answer(x) :- answer(x).")
     with pytest.raises(InputError):
         parse_query("answer(x) :- E(x), F(y), E(x,y).")
+    with pytest.raises(InputError, match=r"arity 9, outside 1\.\.8"):
+        parse_query(NINE_ARY)
+    assert parse_query(NINE_ARY.replace(",i", "")).structure.vocabulary.arity("R") == 8
 
 
 def test_isolated_head_variable_warns_but_parses():
@@ -248,6 +252,10 @@ def test_cli_exit_codes(command, capsys, monkeypatch, tmp_path):
     unbound.write_text("answer(x) :- F(x,x).")
     code, err = run(unbound)
     assert code == 1 and "'F'" in err
+    wide = tmp_path / "wide.query"
+    wide.write_text(NINE_ARY)
+    code, err = run(wide)
+    assert code == 1 and "1..8" in err
     code, err = run(tmp_path / "absent.query")
     assert code == 1 and "cannot read" in err
     code, err = run(DATA / "edge.query", db=tmp_path / "absent.json")

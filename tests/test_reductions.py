@@ -49,8 +49,7 @@ def with_pins(rng, base, b, full=False):
             relations[name] = {(x,) for x in b.domain}
         else:
             relations[name] = {(x,) for x in b.domain if rng.random() < 0.75}
-    vocab = Vocabulary(symbols, arity_cap=max(b.vocabulary.arity_cap, 1))
-    return RelationalStructure(vocab, b.domain, relations)
+    return RelationalStructure(Vocabulary(symbols), b.domain, relations)
 
 
 def starred_query(q):
@@ -298,7 +297,7 @@ def generic_contract_instance(rng, target_h, n_values=3, density=0.7):
             rrels[name] = {
                 t for t in product(elems, repeat=len(scope)) if rng.random() < density
             }
-    vocab = Vocabulary(symbols, arity_cap=max([8, *symbols.values()]))
+    vocab = Vocabulary(symbols)
     left = ConjunctiveQuery(
         RelationalStructure(vocab, tuple(ct.vertices), lrels), tuple(ct.vertices))
     right = RelationalStructure(vocab, elems, rrels)
