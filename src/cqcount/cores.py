@@ -21,6 +21,7 @@ variable to survive, so the free tuple carries over unchanged.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -78,6 +79,13 @@ def core_of_structure(a: RelationalStructure,
     return _shrink(a, cfg, element_order or sorted(a.domain))
 
 
+# Query cores kept for reuse, least recently used evicted first. Counting
+# and classifying one query, or counting one query over many targets, finds
+# its core once.
+CORE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CORE_CACHE_SIZE)
 def core_of_query(q: ConjunctiveQuery,
                   cfg: HomSearchConfig = DEFAULT_CONFIG) -> ConjunctiveQuery:
     """The core of a query: core the pinned structure, then unpin.
@@ -88,6 +96,10 @@ def core_of_query(q: ConjunctiveQuery,
     pinned variable would empty its pin relation, so only quantified
     variables are tried as deletion candidates, and a query without
     quantified variables is already its own core.
+
+    Results are memoised by (query value, ``cfg``) and shared between
+    callers; they are immutable. A search that raises (a budget overrun) is
+    not remembered, so the next call searches again.
     """
     quantified = q.quantified_vars
     if not quantified:

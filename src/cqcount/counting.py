@@ -423,19 +423,12 @@ def classify(q: ConjunctiveQuery, k_core: int = 3, k_contract: int = 3,
     widths stay below, case III when the contract width reaches its bound,
     case II otherwise (core width reaches its bound, contract stays below).
     Labels are advisory when a width is only an upper bound.
-
-    Without quantified variables the core has no S-component, so its
-    contract graph is its own primal graph; equal graphs give equal
-    decompositions, so that graph is decomposed only once.
     """
     core = core_of_query(q, cfg.hom)
     h = hypergraph_of(core)
-    core_graph = primal_graph(h)
-    core_td = decompose(core_graph, cfg.exact_tw_threshold)
+    core_td = decompose(primal_graph(h), cfg.exact_tw_threshold)
     cg = contract(h)
-    contract_graph = primal_graph(cg)
-    contract_td = (core_td if contract_graph == core_graph
-                   else decompose(contract_graph, cfg.exact_tw_threshold))
+    contract_td = decompose(primal_graph(cg), cfg.exact_tw_threshold)
     star, strict = star_sizes(h, cfg.star_size_cap)
     if contract_td.width >= k_contract:
         label = CASE_III

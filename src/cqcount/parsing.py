@@ -222,15 +222,14 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
             raise InputError(
                 f"relation {name!r} needs an integer arity between 1 and {DEFAULT_ARITY_CAP}"
             )
-        tuples = body.get("tuples")
-        if isinstance(tuples, list):
-            unique = {tuple(t) for t in tuples if isinstance(t, list)}
-            dupes = len(tuples) - len(unique)
-            if dupes:
-                warnings.warn(
-                    f"relation {name!r}: {dupes} duplicate tuple(s) collapsed, "
-                    f"{len(unique)} kept",
-                    DatabaseWarning,
-                    stacklevel=2,
-                )
-    return structure_from_dict(data)
+    structure = structure_from_dict(data)
+    for name, body in data["relations"].items():
+        kept = len(structure.tuples(name))
+        dupes = len(body["tuples"]) - kept
+        if dupes:
+            warnings.warn(
+                f"relation {name!r}: {dupes} duplicate tuple(s) collapsed, {kept} kept",
+                DatabaseWarning,
+                stacklevel=2,
+            )
+    return structure

@@ -3,7 +3,12 @@
 All values here are immutable after construction and safe to share across
 threads; every operation is a pure function. Set-like data is stored in
 frozensets and iterated in sorted order, so every downstream computation is
-deterministic.
+deterministic. Mappings (``Vocabulary.symbols``,
+``RelationalStructure.relations``) are read-only views, and vocabularies,
+structures and queries compare and hash by value: equal values built along
+different routes (another insertion order, ``structure_from_dict`` or the
+constructor) are interchangeable as dictionary keys, which is what lets
+``core_of_query`` memoise its results and share them between callers.
 
 A conjunctive query is kept in natural-model form: a structure whose domain
 is the set of query variables, paired with the ordered tuple of free
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError
@@ -52,7 +58,10 @@ class Vocabulary:
                 raise InputError("relation names must be non-empty strings")
             if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
                 raise InputError(f"arity of {name!r} must be a non-negative integer")
-        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "symbols", MappingProxyType(symbols))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.symbols.items()))
 
     def arity(self, name: str) -> int:
         try:
@@ -102,7 +111,10 @@ class RelationalStructure:
                 out.add(t)
             rels[name] = frozenset(out)
         object.__setattr__(self, "domain", tuple(dom))
-        object.__setattr__(self, "relations", rels)
+        object.__setattr__(self, "relations", MappingProxyType(rels))
+
+    def __hash__(self) -> int:
+        return hash((self.vocabulary, self.domain, frozenset(self.relations.items())))
 
     def tuples(self, name: str) -> frozenset:
         return self.relations.get(name, frozenset())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Tuple, Union
 
 from .errors import InputError
@@ -27,6 +28,11 @@ UPPER_BOUND = "upper_bound"
 
 # 2^16 DP entries is the largest table we are willing to fill exactly.
 DEFAULT_EXACT_THRESHOLD = 16
+
+# Decompositions kept for reuse, least recently used evicted first. Distinct
+# queries often share one contract graph, and a core without quantified
+# variables is its own contract graph.
+DECOMPOSITION_CACHE_SIZE = 256
 
 GraphLike = Union[Graph, SHypergraph]
 
@@ -219,6 +225,7 @@ def decomposition_from_order(g: Graph, order: List[str], exactness: str) -> Tree
     return TreeDecomposition(tuple(bags), frozenset(edges), width, exactness)
 
 
+@lru_cache(maxsize=DECOMPOSITION_CACHE_SIZE)
 def decompose(obj: GraphLike, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> TreeDecomposition:
     """A valid tree decomposition: exact up to the threshold, min-fill above.
 
@@ -228,6 +235,9 @@ def decompose(obj: GraphLike, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) ->
     minor-min-width lower bound equals its width; only when the bound falls
     short does the subset DP run for an optimal order. The result is always
     verified before being returned.
+
+    Results are memoised by (graph value, threshold) and shared between
+    callers; they are immutable.
     """
     g = _as_graph(obj)
     td = decomposition_from_order(g, _min_fill_elimination(g), UPPER_BOUND)

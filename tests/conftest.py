@@ -6,7 +6,16 @@ independent of the search and counting code paths they check.
 
 from itertools import product
 
-from cqcount import RelationalStructure, Vocabulary, is_homomorphism
+import pytest
+
+from cqcount import RelationalStructure, Vocabulary, core_of_query, decompose, is_homomorphism
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with empty core and decomposition caches."""
+    core_of_query.cache_clear()
+    decompose.cache_clear()
 
 
 def structure(symbols, domain, relations):

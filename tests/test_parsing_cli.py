@@ -138,6 +138,22 @@ def test_load_database_duplicates_warn(tmp_path):
     assert len(db.tuples("E")) == 2
 
 
+@pytest.mark.parametrize("tuples", [[["a", ["b"]]], [["a", "b"], "xy"]],
+                         ids=["nested-list", "string-tuple"])
+def test_cli_count_rejects_malformed_tuples(tuples, tmp_path):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps({"relations": {"E": {"arity": 2, "tuples": tuples}}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "cqcount.cli", "count",
+         "--db", str(db), "--query", str(DATA / "edge.query")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "must be lists of strings" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "DatabaseWarning" not in proc.stderr
+
+
 def test_load_database_rejects_bad_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

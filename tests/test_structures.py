@@ -6,6 +6,7 @@ from conftest import digraph, structure
 from cqcount import (
     ConjunctiveQuery,
     InputError,
+    RelationalStructure,
     Vocabulary,
     augment,
     drop_relations,
@@ -42,6 +43,51 @@ def test_duplicates_collapse():
     a = structure({"E": 2}, ["x", "x", "y"], {"E": [("x", "y"), ("x", "y")]})
     assert a.domain == ("x", "y")
     assert a.tuples("E") == frozenset({("x", "y")})
+
+
+def test_equal_values_are_equal_and_hash_equal():
+    arcs = [("a", "b"), ("b", "c")]
+    built = structure({"E": 2, "P": 1}, "abc", {"E": set(arcs), "P": {("a",)}})
+    reordered = RelationalStructure(
+        Vocabulary({"P": 1, "E": 2}), ("a", "b", "c"),
+        {"P": [("a",)], "E": list(reversed(arcs))})
+    loaded = structure_from_dict({
+        "domain": ["a", "b", "c"],
+        "relations": {"P": {"arity": 1, "tuples": [["a"]]},
+                      "E": {"arity": 2, "tuples": [["b", "c"], ["a", "b"]]}},
+    })
+    for other in (reordered, loaded):
+        assert other == built and hash(other) == hash(built)
+        assert other.vocabulary == built.vocabulary
+        assert hash(other.vocabulary) == hash(built.vocabulary)
+        q, r = ConjunctiveQuery(built, ("a",)), ConjunctiveQuery(other, ("a",))
+        assert q == r and hash(q) == hash(r)
+        assert len({built: 0, other: 1}) == 1
+    # the same tuples in another domain order, or another free tuple, differ
+    assert structure({"E": 2, "P": 1}, "cba", built.relations) != built
+    assert ConjunctiveQuery(built, ("a",)) != ConjunctiveQuery(built, ("b",))
+
+
+def test_empty_relation_arity_is_part_of_the_value():
+    one = structure({"E": 2, "P": 1}, "ab", {"E": {("a", "b")}})
+    two = structure({"E": 2, "P": 2}, "ab", {"E": {("a", "b")}})
+    assert one.relations == two.relations
+    assert one != two
+    assert Vocabulary({"P": 1}) != Vocabulary({"P": 2})
+
+
+def test_structures_are_read_only():
+    a = structure({"E": 2}, "ab", {"E": {("a", "b")}})
+    with pytest.raises(TypeError):
+        a.relations["E"] = frozenset()
+    with pytest.raises(TypeError):
+        a.relations["F"] = frozenset()
+    with pytest.raises(TypeError):
+        a.vocabulary.symbols["E"] = 3
+    with pytest.raises(TypeError):
+        del a.vocabulary.symbols["E"]
+    assert a.tuples("E") == frozenset({("a", "b")})
+    assert a.vocabulary.arity("E") == 2
 
 
 def test_missing_relations_default_empty():
