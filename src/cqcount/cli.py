@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from pathlib import Path
 from typing import Optional
 
 from .cores import core_of_query
@@ -69,8 +70,8 @@ def _configs(mode: str = MODE_AUTO):
 
 def _load_query(path: str) -> ConjunctiveQuery:
     try:
-        text = open(path).read()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parse_query(text)
 

@@ -32,7 +32,6 @@ from .homomorphisms import (
     count_answers_brute,
 )
 from .hypergraphs import (
-    DEFAULT_STAR_SIZE_CAP,
     SComponent,
     SHypergraph,
     contract,
@@ -70,16 +69,14 @@ COMPONENT_PREFIX = "__comp_"
 class CountingConfig:
     """Caps and mode selection for count_answers.
 
-    ``star_size_cap`` bounds only the exponential independent-set search in
-    ``star_sizes``; a component projection is bounded by
-    ``hom.enumeration_cap`` alone, like brute-force counting.
+    A component projection is bounded by ``hom.enumeration_cap`` alone,
+    like brute-force counting.
     """
 
     mode: str = MODE_AUTO
     brute_cap: int = 10_000_000
     width_cap: int = 8
     exact_tw_threshold: int = DEFAULT_EXACT_THRESHOLD
-    star_size_cap: int = DEFAULT_STAR_SIZE_CAP
     hom: HomSearchConfig = field(default_factory=HomSearchConfig)
 
     def __post_init__(self) -> None:
@@ -429,7 +426,7 @@ def classify(q: ConjunctiveQuery, k_core: int = 3, k_contract: int = 3,
     core_td = decompose(primal_graph(h), cfg.exact_tw_threshold)
     cg = contract(h)
     contract_td = decompose(primal_graph(cg), cfg.exact_tw_threshold)
-    star, strict = star_sizes(h, cfg.star_size_cap)
+    star, strict = star_sizes(h)
     if contract_td.width >= k_contract:
         label = CASE_III
     elif core_td.width >= k_core:

@@ -86,7 +86,7 @@ def redundant_variant(rng: random.Random, q: ConjunctiveQuery) -> ConjunctiveQue
     for _ in range(rng.randint(1, 2)):
         name, t = rng.choice(atoms)
         renaming = {}
-        for v in set(t):
+        for v in dict.fromkeys(t):
             if rng.random() < 0.6:
                 new = f"w{fresh}"
                 fresh += 1

@@ -2,10 +2,11 @@
 
 The backtracking solver here is deliberately straightforward: it is the
 oracle the structural counting pipeline is verified against, so clarity and
-exactness win over cleverness. Variables are assigned in a static order
-(smallest domain first after unary pruning), values in sorted order, so
-every result is deterministic. Counts use Python integers and are never
-approximated; running out of budget raises, it does not round.
+exactness win over cleverness. Domains are pruned to generalized arc
+consistency once per search; variables are then assigned in a static order
+(smallest domain first), values in sorted order, so every result is
+deterministic. Counts use Python integers and are never approximated;
+running out of budget raises, it does not round.
 """
 
 from __future__ import annotations
@@ -24,17 +25,14 @@ from .structures import Assignment, ConjunctiveQuery, RelationalStructure
 class HomSearchConfig:
     """Budgets for the search routines.
 
-    ``node_budget`` caps backtracking nodes per search call;
-    ``use_arc_consistency`` prunes the domains to arc consistency when a
-    search is built or narrowed by ``avoiding``. ``enumeration_cap``
-    bounds how many candidate assignments brute-force counting and each
-    component projection in ``contract_instance`` may walk, and how many
-    rows a component join in ``lift_to_hypergraph`` may build. Exceeding
-    a budget raises ResourceBudgetError.
+    ``node_budget`` caps backtracking nodes per search call.
+    ``enumeration_cap`` bounds how many candidate assignments brute-force
+    counting and each component projection in ``contract_instance`` may
+    walk, and how many rows a component join in ``lift_to_hypergraph`` may
+    build. Exceeding a budget raises ResourceBudgetError.
     """
 
     node_budget: int = 10_000_000
-    use_arc_consistency: bool = True
     enumeration_cap: int = 10_000_000
 
     def __post_init__(self) -> None:
@@ -68,15 +66,15 @@ class _HomSearch:
 
     Building the context indexes the instance once; ``solutions`` can then
     be called many times with different pinned variables (this is what makes
-    brute-force answer counting tolerable). Arc consistency, when enabled,
-    is established once at the root.
+    brute-force answer counting tolerable). Generalized arc consistency
+    over every constraint, unary ones included, is established once at the
+    root; ``feasible`` is False exactly when it empties a domain or a 0-ary
+    constraint fails in the target.
     """
 
     def __init__(self, src: RelationalStructure, dst: RelationalStructure,
                  cfg: HomSearchConfig = DEFAULT_CONFIG):
         check_vocabulary(src, dst)
-        self.src = src
-        self.dst = dst
         self.cfg = cfg
         self.src_domain = set(src.domain)
         self.dst_domain = set(dst.domain)
@@ -87,26 +85,21 @@ class _HomSearch:
             for t in sorted(ts)
             if t
         ]
-        # A 0-ary source tuple is a bare truth requirement on the target.
-        self.feasible = all(
+        # A 0-ary source tuple is a bare truth requirement on the target;
+        # an empty target leaves no value for any source variable.
+        self.feasible = (bool(dst.domain) or not src.domain) and all(
             () in self.dst_rel[name]
             for name, ts in src.relations.items()
             if () in ts
         )
         values = sorted(dst.domain)
         base = {v: list(values) for v in src.domain}
-        for name, ts in src.relations.items():
-            if src.vocabulary.arity(name) != 1:
-                continue
-            allowed = {t[0] for t in self.dst_rel[name]}
-            for t in ts:
-                base[t[0]] = [b for b in base[t[0]] if b in allowed]
         # Variable -> indices of the constraints it occurs in.
         self.watch = {v: [] for v in src.domain}
         for ci, (_, t) in enumerate(self.constraints):
             for v in set(t):
                 self.watch[v].append(ci)
-        if self.feasible and cfg.use_arc_consistency:
+        if self.feasible:
             self.feasible = self._propagate(base, range(len(self.constraints)))
         self._settle(base)
 
@@ -143,7 +136,7 @@ class _HomSearch:
             dom[v] = [b for b in dom[v] if b != value]
             if not dom[v]:
                 view.feasible = False
-        if view.feasible and self.cfg.use_arc_consistency:
+        if view.feasible:
             view.feasible = view._propagate(
                 dom, sorted({ci for v in changed for ci in self.watch[v]}))
         if view.feasible:

@@ -203,8 +203,8 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
     """
     path = Path(path)
     try:
-        raw = path.read_text()
-    except OSError as exc:
+        raw = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(raw)

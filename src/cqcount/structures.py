@@ -275,9 +275,6 @@ def structure_from_dict(data: dict) -> RelationalStructure:
     for name, body in raw_relations.items():
         if not isinstance(body, dict) or "arity" not in body or "tuples" not in body:
             raise InputError(f'relation {name!r} needs "arity" and "tuples"')
-        arity = body["arity"]
-        if isinstance(arity, bool) or not isinstance(arity, int):
-            raise InputError(f"arity of {name!r} must be an integer")
         tuples = body["tuples"]
         if not isinstance(tuples, list):
             raise InputError(f'"tuples" of {name!r} must be a list')
@@ -287,7 +284,7 @@ def structure_from_dict(data: dict) -> RelationalStructure:
                 raise InputError(f"tuples of {name!r} must be lists of strings")
             rows.add(tuple(row))
             extra.update(row)
-        symbols[name] = arity
+        symbols[name] = body["arity"]
         relations[name] = frozenset(rows)
     dom = list(dict.fromkeys(declared))
     dom.extend(sorted(extra - set(dom)))

@@ -18,10 +18,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .errors import InputError
-from .hypergraphs import Graph, SHypergraph, primal_graph
+from .hypergraphs import Graph
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -33,8 +33,6 @@ DEFAULT_EXACT_THRESHOLD = 16
 # queries often share one contract graph, and a core without quantified
 # variables is its own contract graph.
 DECOMPOSITION_CACHE_SIZE = 256
-
-GraphLike = Union[Graph, SHypergraph]
 
 
 class DecompositionError(InputError):
@@ -51,12 +49,10 @@ class TreeDecomposition:
     exactness: str
 
 
-def _as_graph(obj: GraphLike) -> Graph:
+def _require_graph(obj: Graph) -> Graph:
     if isinstance(obj, Graph):
         return obj
-    if isinstance(obj, SHypergraph):
-        return primal_graph(obj)
-    raise InputError(f"expected a Graph or SHypergraph, got {type(obj).__name__}")
+    raise InputError(f"expected a Graph, got {type(obj).__name__}")
 
 
 def _exact_elimination(g: Graph, limit: int) -> Tuple[List[str], int]:
@@ -121,9 +117,9 @@ def _exact_elimination(g: Graph, limit: int) -> Tuple[List[str], int]:
     return order_last_first[::-1], f[size - 1]
 
 
-def exact_treewidth(obj: GraphLike, limit: int = DEFAULT_EXACT_THRESHOLD) -> int:
+def exact_treewidth(obj: Graph, limit: int = DEFAULT_EXACT_THRESHOLD) -> int:
     """The exact treewidth, by subset dynamic programming."""
-    return _exact_elimination(_as_graph(obj), limit)[1]
+    return _exact_elimination(_require_graph(obj), limit)[1]
 
 
 def _fill_in(adjacency: Dict[str, set], v: str) -> int:
@@ -226,12 +222,12 @@ def decomposition_from_order(g: Graph, order: List[str], exactness: str) -> Tree
 
 
 @lru_cache(maxsize=DECOMPOSITION_CACHE_SIZE)
-def decompose(obj: GraphLike, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> TreeDecomposition:
+def decompose(obj: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> TreeDecomposition:
     """A valid tree decomposition: exact up to the threshold, min-fill above.
 
-    Hypergraphs are decomposed via their primal graph. Every graph gets a
-    min-fill decomposition first. Above the threshold it is returned as an
-    upper bound. Within the threshold it is flagged exact when the
+    A hypergraph is decomposed by passing its ``primal_graph``. Every
+    graph gets a min-fill decomposition first. Above the threshold it is
+    returned as an upper bound. Within the threshold it is flagged exact when the
     minor-min-width lower bound equals its width; only when the bound falls
     short does the subset DP run for an optimal order. The result is always
     verified before being returned.
@@ -239,7 +235,7 @@ def decompose(obj: GraphLike, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) ->
     Results are memoised by (graph value, threshold) and shared between
     callers; they are immutable.
     """
-    g = _as_graph(obj)
+    g = _require_graph(obj)
     td = decomposition_from_order(g, _min_fill_elimination(g), UPPER_BOUND)
     if len(g.vertices) <= exact_threshold:
         if _minor_min_width(g) == td.width:
@@ -251,13 +247,13 @@ def decompose(obj: GraphLike, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) ->
     return td
 
 
-def verify_decomposition(obj: GraphLike, td: TreeDecomposition) -> int:
+def verify_decomposition(obj: Graph, td: TreeDecomposition) -> int:
     """Check the three decomposition axioms plus tree shape; return the width.
 
     Raises DecompositionError naming the first failure: vertex or edge
     uncovered, occurrence connectivity, malformed tree, width mismatch.
     """
-    g = _as_graph(obj)
+    g = _require_graph(obj)
     bags = td.bags
     if not bags:
         raise DecompositionError("decomposition has no bags")

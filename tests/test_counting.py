@@ -544,7 +544,7 @@ def test_classify_matches_separate_decompositions():
         cg = contract(h)
         core_td = decompose(primal_graph(h), cfg.exact_tw_threshold)
         contract_td = decompose(primal_graph(cg), cfg.exact_tw_threshold)
-        star, strict = star_sizes(h, cfg.star_size_cap)
+        star, strict = star_sizes(h)
         if contract_td.width >= 2:
             label = CASE_III
         elif core_td.width >= 2:

@@ -188,15 +188,3 @@ def test_budgets_raise_distinct_errors():
     q = ConjunctiveQuery(k4, tuple("abcd"))
     with pytest.raises(ResourceBudgetError):
         count_answers_brute(q, k3, HomSearchConfig(enumeration_cap=10))
-
-
-def test_arc_consistency_toggle_agrees():
-    rng = random.Random(5)
-    on = HomSearchConfig(use_arc_consistency=True)
-    off = HomSearchConfig(use_arc_consistency=False)
-    for _ in range(50):
-        q, b = random_instance(rng, max_vars=4, max_free=2, max_target=4)
-        assert count_answers_brute(q, b, on) == count_answers_brute(q, b, off)
-        found_on = find_extension(q.structure, b, cfg=on)
-        found_off = find_extension(q.structure, b, cfg=off)
-        assert (found_on is None) == (found_off is None)

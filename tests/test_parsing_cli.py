@@ -281,6 +281,22 @@ def test_cli_exit_codes(command, capsys, monkeypatch, tmp_path):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("bad", ["query", "db"])
+def test_cli_non_utf8_input_is_an_input_error(bad, tmp_path):
+    files = {"query": DATA / "edge.query", "db": DATA / "triangle.json"}
+    text = files[bad].read_text()
+    files[bad] = tmp_path / f"latin1.{bad}"
+    files[bad].write_bytes(text.replace("E", "\u00c9").encode("latin-1"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqcount.cli", "count",
+         "--db", str(files["db"]), "--query", str(files["query"])],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert f"cannot read {files[bad]}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_vocabulary_agreement_checked(capsys, tmp_path):
     query = tmp_path / "f.query"
     query.write_text("answer(x) :- F(x,x).")

@@ -200,3 +200,6 @@ def test_structure_from_dict_validation():
         structure_from_dict({"relations": {"E": {"arity": 2}}})
     with pytest.raises(InputError):
         structure_from_dict({"relations": {"E": {"arity": 2, "tuples": [["a"]]}}})
+    for arity in ("2", True, 2.0, None, -1):
+        with pytest.raises(InputError, match="arity of 'E'"):
+            structure_from_dict({"relations": {"E": {"arity": arity, "tuples": []}}})
