@@ -9,6 +9,7 @@ budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -147,7 +148,9 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="cqcount",
         description="Count answers to conjunctive queries, exactly.",

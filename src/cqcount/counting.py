@@ -9,8 +9,11 @@ S-hypergraph), then count by sparse sum-product variable elimination
 is a table of the target tuples it matches, and eliminating a variable
 joins the tables that mention it and sums it out. Joins filter before
 they grow: a bucket starts from its largest table and next joins the
-table adding the fewest new variables, and each message, once summed,
-absorbs every pending table whose variables it covers.
+table adding the fewest new variables, and the starting table, each
+intermediate product and the summed message absorb every pending table
+whose variables they cover. A bucket holding one table is summed out in
+one pass, and atoms of one relation with distinct variables share one
+table; no table is modified once built.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -142,21 +145,23 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     return ConjunctiveQuery(left, q.free_vars), right
 
 
-def _atom_factor(t: tuple, rows: frozenset) -> Tuple[tuple, dict]:
+def _atom_factor(t: tuple, table: dict) -> Tuple[tuple, dict]:
     """One atom's factor: its distinct variables and the matching rows.
 
-    A repeated variable keeps only rows that agree on its positions, and
+    ``table`` maps each row of the atom's relation to 1. An atom with
+    distinct variables returns it as is, so atoms of one relation share it;
+    a repeated variable keeps only rows that agree on its positions, and
     each row is projected onto the first occurrences.
     """
     scope = tuple(dict.fromkeys(t))
     if len(scope) == len(t):
-        return scope, dict.fromkeys(rows, 1)
+        return scope, table
     first = {v: t.index(v) for v in scope}
     repeats = [(i, first[v]) for i, v in enumerate(t) if first[v] != i]
     keep = [first[v] for v in scope]
     return scope, {
         tuple(row[i] for i in keep): 1
-        for row in rows
+        for row in table
         if all(row[i] == row[j] for i, j in repeats)
     }
 
@@ -171,7 +176,15 @@ def _key_getter(positions: List[int]):
     return itemgetter(*positions)
 
 
-_UNIT = ((), {(): 1})
+def _match_key(positions: List[int]):
+    """A function taking a row to a hashable key of its values at ``positions``.
+
+    One position gives the bare value, so a join on one shared variable
+    builds no tuple per row; both sides of a join use the same form.
+    """
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
 
 
 def _join(left: Tuple[tuple, dict], right: Tuple[tuple, dict],
@@ -181,7 +194,7 @@ def _join(left: Tuple[tuple, dict], right: Tuple[tuple, dict],
     With ``drop``, that variable of ``left`` is summed out in the same pass,
     so the unsummed join is never built. When ``right`` adds no variable and
     nothing is dropped, the join is a semijoin that probes ``right``
-    directly and keeps ``left``'s scope.
+    directly and keeps ``left``'s scope. Neither input table is modified.
     """
     scope, table = left
     other_scope, other = right
@@ -191,10 +204,10 @@ def _join(left: Tuple[tuple, dict], right: Tuple[tuple, dict],
         return scope, {row: cnt * c for row, cnt in table.items()
                        if (c := other.get(probe(row)))}
     shared = [v for v in other_scope if v in scope]
-    on_left = _key_getter([scope.index(v) for v in shared])
-    on_right = _key_getter([other_scope.index(v) for v in shared])
+    on_left = _match_key([scope.index(v) for v in shared])
+    on_right = _match_key([other_scope.index(v) for v in shared])
     rest = _key_getter([other_scope.index(v) for v in extra])
-    index: Dict[tuple, list] = {}
+    index: Dict[object, list] = {}
     for row, cnt in other.items():
         index.setdefault(on_right(row), []).append((rest(row), cnt))
     if drop is None:
@@ -217,35 +230,57 @@ def _join(left: Tuple[tuple, dict], right: Tuple[tuple, dict],
     return tuple(scope[i] for i in kept) + tuple(extra), out
 
 
-def _join_sum_out(factors: List[Tuple[tuple, dict]], var: str) -> Tuple[tuple, dict]:
+def _sum_out(factor: Tuple[tuple, dict], var: str) -> Tuple[tuple, dict]:
+    """Sum ``var`` out of one factor in a single projection pass."""
+    scope, table = factor
+    kept = [i for i, v in enumerate(scope) if v != var]
+    head = _key_getter(kept)
+    out: Dict[tuple, int] = {}
+    for row, cnt in table.items():
+        key = head(row)
+        out[key] = out.get(key, 0) + cnt
+    return tuple(scope[i] for i in kept), out
+
+
+def _join_sum_out(factors: List[Tuple[tuple, dict]], var: str,
+                  buckets: List[Optional[list]], pos: Dict[str, int]) -> Tuple[tuple, dict]:
     """Multiply factors that all mention ``var`` and sum it out in the last join.
 
     The product starts from the largest table and next takes the factor
     that adds the fewest new variables (on ties, the smaller table), so
     factors already covered by the running scope filter it before it grows.
+    The starting table, every intermediate product and the summed message
+    each absorb the pending factors their scope covers. A lone factor is
+    summed out without a join.
     """
     rest = sorted(factors, key=lambda f: len(f[1]))
-    joined = rest.pop()
+    joined = _absorb(rest.pop(), buckets, pos)
     while len(rest) > 1:
         have = joined[0]
         k = min(range(len(rest)),
                 key=lambda j: (sum(v not in have for v in rest[j][0]), j))
-        joined = _join(joined, rest.pop(k))
-    return _join(joined, rest[0] if rest else _UNIT, drop=var)
+        joined = _absorb(_join(joined, rest.pop(k)), buckets, pos)
+    summed = _join(joined, rest[0], drop=var) if rest else _sum_out(joined, var)
+    return _absorb(summed, buckets, pos)
 
 
-def _absorb(message: Tuple[tuple, dict], buckets: List[list],
+def _absorb(message: Tuple[tuple, dict], buckets: List[Optional[list]],
             pos: Dict[str, int]) -> Tuple[tuple, dict]:
     """Join into ``message`` every pending factor its scope covers.
 
     Such a factor waits in the bucket of one of the message's variables.
-    Joining it now only filters the message, before a later bucket
-    multiplies the message by factors that add variables.
+    Joining it now only filters the message, before a later join multiplies
+    it by factors that add variables. The bucket being eliminated is None
+    and is skipped: a pending factor lies in a later bucket, so it does not
+    mention the variable being summed out, and multiplying by it commutes
+    with the sum.
     """
     scope = message[0]
     within = set(scope)
     for v in scope:
         bucket = buckets[pos[v]]
+        if not bucket:
+            continue
         covered = [f for f in bucket if within.issuperset(f[0])]
         if covered:
             bucket[:] = [f for f in bucket if not within.issuperset(f[0])]
@@ -289,12 +324,12 @@ def _sum_product(q: ConjunctiveQuery, dst: RelationalStructure,
     """
     order = _elimination_order(td)
     pos = {v: i for i, v in enumerate(order)}
-    buckets: List[list] = [[] for _ in order]
+    buckets: List[Optional[list]] = [[] for _ in order]
     total = 1
     for name, ts in q.structure.relations.items():
-        rows = dst.tuples(name)
+        shared = dict.fromkeys(dst.tuples(name), 1) if ts else None
         for t in ts:
-            scope, table = _atom_factor(t, rows)
+            scope, table = _atom_factor(t, shared)
             if not table:
                 return 0
             if scope:
@@ -306,7 +341,7 @@ def _sum_product(q: ConjunctiveQuery, dst: RelationalStructure,
         if not bucket:
             total *= size
             continue
-        message = _absorb(_join_sum_out(bucket, var), buckets, pos)
+        message = _join_sum_out(bucket, var, buckets, pos)
         scope, table = message
         if not table:
             return 0
@@ -329,11 +364,12 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
     are joined and the variable is summed out, so every intermediate table
     lies within one bag and holds only rows that match the atoms joined
     into it. The join order is filter-first: each bucket starts from its
-    largest factor and next takes the one adding the fewest new variables,
-    and the summed message at once absorbs every pending factor within its
-    scope, so covered atoms cut tables before later joins extend them. A
-    variable in no atom contributes a factor |target domain|; a 0-ary atom
-    contributes 1 or 0.
+    largest factor and next takes the one adding the fewest new variables.
+    The starting factor, every intermediate product and the summed message
+    each absorb the pending factors within their scope, so covered atoms
+    cut tables before later joins extend them. A bucket with one factor is
+    summed out without a join. A variable in no atom contributes a factor
+    |target domain|; a 0-ary atom contributes 1 or 0.
     """
     if set(q.free_vars) != set(q.structure.domain):
         raise InputError("count_quantifier_free_td expects a quantifier-free query")

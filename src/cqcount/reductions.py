@@ -34,7 +34,7 @@ from itertools import product
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cores import is_core
-from .counting import _UNIT, _atom_factor, _join, _key_getter
+from .counting import _atom_factor, _join, _key_getter
 from .errors import InputError, InternalError, ResourceBudgetError
 from .homomorphisms import (
     DEFAULT_CONFIG,
@@ -261,7 +261,7 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     edge_tables: Dict[frozenset, Tuple[tuple, dict]] = {}
     for name, t in q.structure.atoms():
         if t:
-            factor = _atom_factor(t, b.tuples(name))
+            factor = _atom_factor(t, dict.fromkeys(b.tuples(name), 1))
             e = frozenset(t)
             edge_tables[e] = _join(edge_tables[e], factor) if e in edge_tables else factor
 
@@ -278,7 +278,7 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     comps = s_components(target)
     comp_rows: List[dict] = []
     for ci, comp in enumerate(comps):
-        table = _UNIT
+        table = ((), {(): 1})  # the empty join: a Boolean component keeps one row
         for e in sorted(ct.edges, key=_edge_key):
             if e <= comp.closure:
                 table = _join(table, edge_tables[e])

@@ -263,9 +263,19 @@ def random_quantifier_free_instance(rng):
     return q, structure(symbols, elements, relations)
 
 
-def test_dp_matches_brute_under_any_decomposition():
+def test_dp_matches_brute_under_any_decomposition(monkeypatch):
     rng = random.Random(44)
     seen = set()
+    # every table handed to _join, with a copy taken when it was handed over;
+    # atoms of one relation share a table, so none may be changed in place
+    joined = []
+    real_join = counting._join
+
+    def join(left, right, drop=None):
+        joined.extend((table, dict(table)) for _, table in (left, right))
+        return real_join(left, right, drop)
+
+    monkeypatch.setattr(counting, "_join", join)
     for _ in range(300):
         q, b = random_quantifier_free_instance(rng)
         atoms = q.structure.atoms()
@@ -276,6 +286,8 @@ def test_dp_matches_brute_under_any_decomposition():
             | {"empty relation" for name, t in atoms if not b.tuples(name)}
             | ({"isolated"} if set(q.structure.domain) - used else set())
             | ({"empty domain"} if not b.domain and q.structure.domain else set())
+            | {"shared relation" for ts in q.structure.relations.values()
+               if sum(len(set(t)) == len(t) > 0 for t in ts) > 1}
         )
         g = primal_graph(hypergraph_of(q))
         order = list(g.vertices)
@@ -284,7 +296,10 @@ def test_dp_matches_brute_under_any_decomposition():
         assert count_quantifier_free_td(q, b, decompose(g)) == want
         assert count_quantifier_free_td(
             q, b, decomposition_from_order(g, order, UPPER_BOUND)) == want
-    assert seen == {"repeat", "0-ary", "empty relation", "isolated", "empty domain"}
+        assert all(table == snapshot for table, snapshot in joined)
+        joined.clear()
+    assert seen == {"repeat", "0-ary", "empty relation", "isolated", "empty domain",
+                    "shared relation"}
 
 
 def naive_join(left, right, drop=None):
@@ -369,16 +384,25 @@ def test_filter_first_elimination_matches_brute(monkeypatch):
     real_join, real_absorb = counting._join, counting._absorb
 
     def join(left, right, drop=None):
-        if drop is None and set(right[0]) <= set(left[0]):
-            seen.add("absorbed" if absorbing else "bucket semijoin")
+        if absorbing:
+            # absorption only filters: it never widens a product or sums
+            assert drop is None and set(right[0]) <= set(left[0])
+            seen.add("absorbed")
+        elif drop is None and set(right[0]) <= set(left[0]):
+            seen.add("bucket semijoin")
         return real_join(left, right, drop)
 
-    def absorb(*args):
+    def absorb(message, buckets, pos):
         absorbing.append(True)
         try:
-            return real_absorb(*args)
+            out = real_absorb(message, buckets, pos)
         finally:
             absorbing.pop()
+        # the bucket being eliminated is None; a product still holding its
+        # variable has not been summed yet
+        if out is not message and any(buckets[pos[v]] is None for v in message[0]):
+            seen.add("absorbed before the sum")
+        return out
 
     monkeypatch.setattr(counting, "_join", join)
     monkeypatch.setattr(counting, "_absorb", absorb)
@@ -391,7 +415,7 @@ def test_filter_first_elimination_matches_brute(monkeypatch):
         assert count_quantifier_free_td(q, b, decompose(g)) == want
         assert count_quantifier_free_td(
             q, b, decomposition_from_order(g, order, UPPER_BOUND)) == want
-    assert seen == {"absorbed", "bucket semijoin"}
+    assert seen == {"absorbed", "absorbed before the sum", "bucket semijoin"}
 
 
 def test_dp_rejects_invalid_decompositions():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cqcount import InputError, load_database, parse_query, render_query, structure_to_dict
-from cqcount.cli import main
+from cqcount.cli import _build_parser, main
 from cqcount.generators import clique_graph, random_query
 from cqcount.parsing import DatabaseWarning, QueryWarning
 
@@ -247,6 +247,37 @@ def test_cli_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--trials", "25", "--seed", "5")
     assert code == 0
     assert "25 structural-vs-brute cross-checks, 0 failure(s)" in out
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    count = ("count", "--db", str(DATA / "triangle.json"), "--query", str(DATA / "edge.query"))
+    calls = [
+        count,
+        ("count", "--db", str(DATA / "triangle.json")),  # usage error: no --query
+        ("analyze", "--query", str(DATA / "edge.query")),
+        count,
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert shared[0][1] == shared[3][1] == "3\n"
+    assert "the following arguments are required: --query" in shared[1][2]
+    assert json.loads(shared[2][1])["case_label"] == "I_tractable"
 
 
 def test_cli_input_error_exit_code(capsys, tmp_path):
