@@ -69,6 +69,16 @@ def _configs(mode: str = MODE_AUTO):
     return CountingConfig(mode=mode, brute_cap=budget, hom=hom)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _load_query(path: str) -> ConjunctiveQuery:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -188,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_demo.set_defaults(func=_cmd_reduce_demo)
 
     selftest = sub.add_parser("selftest", help="cross-check counters on random instances")
-    selftest.add_argument("--trials", type=int, default=200)
+    selftest.add_argument("--trials", type=_positive_int, default=200)
     selftest.add_argument("--seed", type=int, default=0)
     selftest.set_defaults(func=_cmd_selftest)
 

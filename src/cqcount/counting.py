@@ -455,8 +455,12 @@ def classify(q: ConjunctiveQuery, k_core: int = 3, k_contract: int = 3,
     A width strictly below its bound counts as bounded: case I when both
     widths stay below, case III when the contract width reaches its bound,
     case II otherwise (core width reaches its bound, contract stays below).
-    Labels are advisory when a width is only an upper bound.
+    Labels are advisory when a width is only an upper bound. Bounds below
+    1 are rejected with InputError.
     """
+    if k_core < 1 or k_contract < 1:
+        raise InputError(f"width bounds must be at least 1, got k_core={k_core}, "
+                         f"k_contract={k_contract}")
     core = core_of_query(q, cfg.hom)
     h = hypergraph_of(core)
     core_td = decompose(primal_graph(h), cfg.exact_tw_threshold)

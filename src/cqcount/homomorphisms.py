@@ -3,10 +3,14 @@
 The backtracking solver here is deliberately straightforward: it is the
 oracle the structural counting pipeline is verified against, so clarity and
 exactness win over cleverness. Domains are pruned to generalized arc
-consistency once per search; variables are then assigned in a static order
-(smallest domain first), values in sorted order, so every result is
-deterministic. Counts use Python integers and are never approximated;
-running out of budget raises, it does not round.
+consistency once per search. Pinned variables are set first, all at once,
+and the constraints among them checked in one pass; the others follow in
+a static order (smallest domain first), values in sorted order, so every
+result is deterministic. In a pinned search each later variable draws its
+values from a support index of one constraint over variables already set.
+Brute-force answer counting plans once and pins each candidate tuple of
+free values in turn. Counts use Python integers and are never
+approximated; running out of budget raises, it does not round.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, List, Mapping, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .structures import Assignment, ConjunctiveQuery, RelationalStructure
@@ -25,7 +30,9 @@ from .structures import Assignment, ConjunctiveQuery, RelationalStructure
 class HomSearchConfig:
     """Budgets for the search routines.
 
-    ``node_budget`` caps backtracking nodes per search call.
+    ``node_budget`` caps backtracking nodes per search call, where a node
+    is one set of pins or one candidate value tried; brute-force counting
+    makes one search call per candidate tuple of free values.
     ``enumeration_cap`` bounds how many candidate assignments brute-force
     counting and each component projection in ``contract_instance`` may
     walk, and how many rows a component join in ``lift_to_hypergraph`` may
@@ -61,6 +68,23 @@ def check_vocabulary(src: RelationalStructure, dst: RelationalStructure) -> None
             )
 
 
+class _Plan(NamedTuple):
+    """How a search sets its variables, for one tuple of pinned variables.
+
+    ``pinned`` are set first: each value must lie in its ``pin_domains``
+    entry and ``pin_checks`` holds the constraints among them. Each later
+    variable has one step ``(variable, candidates, key, triggers)``: its
+    sorted domain, or a support index that ``key`` looks up in the
+    assignment, and the constraints whose last variable it is. A check is a
+    ``(relation, constraint tuple)`` pair.
+    """
+
+    pinned: Tuple[str, ...]
+    pin_domains: List[set]
+    pin_checks: List[tuple]
+    steps: List[tuple]
+
+
 class _HomSearch:
     """Reusable backtracking context for homomorphisms src -> dst.
 
@@ -70,6 +94,14 @@ class _HomSearch:
     over every constraint, unary ones included, is established once at the
     root; ``feasible`` is False exactly when it empties a domain or a 0-ary
     constraint fails in the target.
+
+    Each tuple of pinned variables gets one plan, cached on the search. The
+    pinned variables come first and are set and checked together; the
+    others follow, smallest domain first, then by name. Without pins every
+    variable tries its whole domain, so cores search exactly as before. With
+    pins, a later variable takes its candidates from a support index of the
+    constraint that covers the most variables already set: the values its
+    rows allow the variable, given theirs, restricted to its domain.
     """
 
     def __init__(self, src: RelationalStructure, dst: RelationalStructure,
@@ -104,20 +136,10 @@ class _HomSearch:
         self._settle(base)
 
     def _settle(self, base: dict) -> None:
-        # Fix the domains; the first search plans its variable order.
+        # Fix the domains; plans are made on first use, one per pinned tuple.
         self.base = base
         self.base_sets = {v: set(dom) for v, dom in base.items()}
-        self.triggers: Optional[List[list]] = None
-
-    def _plan(self) -> None:
-        base = self.base
-        self.order = sorted(base, key=lambda v: (len(base[v]), v))
-        pos = {v: i for i, v in enumerate(self.order)}
-        # Each constraint is checked as soon as its last variable is set.
-        self.triggers = [[] for _ in self.order]
-        for name, t in self.constraints:
-            last = max(pos[v] for v in t)
-            self.triggers[last].append((self.dst_rel[name], t))
+        self._plans = {}
 
     def avoiding(self, value: str) -> _HomSearch:
         """This search with ``value`` removed from every domain.
@@ -181,9 +203,68 @@ class _HomSearch:
                         queued.add(cj)
         return True
 
+    def _plan(self, pinned: Tuple[str, ...]) -> _Plan:
+        if pinned in self._plans:
+            return self._plans[pinned]
+        base = self.base
+        rest = sorted(base, key=lambda v: (len(base[v]), v))
+        if pinned:
+            pinned_set = set(pinned)
+            rest = [v for v in rest if v not in pinned_set]
+        pos = {v: i for i, v in enumerate((*pinned, *rest))}
+        # Each constraint is checked as soon as its last variable is set.
+        triggers = [[] for _ in pos]
+        for name, t in self.constraints:
+            triggers[max(pos[v] for v in t)].append((self.dst_rel[name], t))
+        steps = []
+        for i, v in enumerate(rest, len(pinned)):
+            candidates, key = base[v], None
+            if pinned:
+                # The constraint on v covering the most variables set before it.
+                ci, before = max(
+                    ((ci, {u for u in self.constraints[ci][1] if pos[u] < i})
+                     for ci in self.watch[v]),
+                    key=lambda c: len(c[1]), default=(None, ()))
+                if before:
+                    candidates, key = self._support_index(ci, v, sorted(before))
+            steps.append((v, candidates, key, triggers[i]))
+        plan = self._plans[pinned] = _Plan(
+            pinned, [self.base_sets[v] for v in pinned],
+            [c for cs in triggers[:len(pinned)] for c in cs], steps)
+        return plan
+
+    def _support_index(self, ci: int, v: str, before: List[str]):
+        """The values constraint ``ci`` allows ``v`` given those of ``before``.
+
+        Returns the index, which maps the values of ``before`` to the sorted
+        values of ``v`` in its domain that some fitting row holds, and the
+        key that reads the values of ``before`` from an assignment. A key
+        over one variable is the bare value.
+        """
+        name, t = self.constraints[ci]
+        first = {}
+        for i, u in enumerate(t):
+            first.setdefault(u, i)
+        at = first[v]
+        allowed = self.base_sets[v]
+        rows = [row for row in self.dst_rel[name] if row[at] in allowed]
+        for i, u in enumerate(t):
+            if first[u] != i:
+                rows = [row for row in rows if row[i] == row[first[u]]]
+        row_key = itemgetter(*[first[u] for u in before])
+        index = {}
+        for row in rows:
+            index.setdefault(row_key(row), set()).add(row[at])
+        index = {key: sorted(vs) for key, vs in index.items()}
+        return index, itemgetter(*before)
+
     def solutions(self, pins: Optional[Mapping[str, str]] = None,
                   injective: bool = False) -> Iterator[Assignment]:
-        """Yield all homomorphisms extending ``pins``, canonically ordered."""
+        """All homomorphisms extending ``pins``, canonically ordered.
+
+        The order is lexicographic in the values of the unpinned variables,
+        taken smallest domain first, then by name.
+        """
         pins = dict(pins or {})
         bad_keys = sorted(set(pins) - self.src_domain)
         if bad_keys:
@@ -192,32 +273,40 @@ class _HomSearch:
         if bad_vals:
             raise InputError(f"pinned values {bad_vals!r} are not in the target domain")
         if not self.feasible:
+            return iter(())
+        pinned = tuple(sorted(pins))
+        return self._run(self._plan(pinned), tuple([pins[v] for v in pinned]), injective)
+
+    def _run(self, plan: _Plan, pins: tuple,
+             injective: bool = False) -> Iterator[Assignment]:
+        """The homomorphisms that give ``plan.pinned`` the values ``pins``.
+
+        Neither the search nor the pins are checked for validity here.
+        """
+        for b, dom in zip(pins, plan.pin_domains):
+            if b not in dom:
+                return
+        assign: Assignment = dict(zip(plan.pinned, pins))
+        for rel, t in plan.pin_checks:
+            if tuple(assign[e] for e in t) not in rel:
+                return
+        used = set(pins) if injective else None
+        if injective and len(used) != len(pins):
             return
-        if self.triggers is None:
-            self._plan()
-        doms = []
-        for v in self.order:
-            if v in pins:
-                if pins[v] not in self.base_sets[v]:
-                    return
-                doms.append((pins[v],))
-            else:
-                doms.append(tuple(self.base[v]))
-        order = self.order
-        triggers = self.triggers
-        n = len(order)
+        steps = plan.steps
+        n = len(steps)
         budget = self.cfg.node_budget
-        assign: Assignment = {}
-        used = set()
-        nodes = 0
+        nodes = 1 if pins else 0
 
         def extend(i: int) -> Iterator[Assignment]:
             nonlocal nodes
             if i == n:
                 yield dict(assign)
                 return
-            v = order[i]
-            for b in doms[i]:
+            v, candidates, key, triggers = steps[i]
+            if key is not None:
+                candidates = candidates.get(key(assign), ())
+            for b in candidates:
                 if injective and b in used:
                     continue
                 nodes += 1
@@ -227,7 +316,7 @@ class _HomSearch:
                     )
                 assign[v] = b
                 ok = True
-                for rel, t in triggers[i]:
+                for rel, t in triggers:
                     if tuple(assign[e] for e in t) not in rel:
                         ok = False
                         break
@@ -244,7 +333,7 @@ class _HomSearch:
             yield from extend(0)
         except RecursionError:
             raise ResourceBudgetError(
-                f"homomorphism search depth {n} (one level per variable) "
+                f"homomorphism search depth {n} (one level per unpinned variable) "
                 f"runs past Python's recursion limit {sys.getrecursionlimit()}"
             ) from None
 
@@ -302,10 +391,12 @@ def _answer_iter(q: ConjunctiveQuery, dst: RelationalStructure,
             f"enumeration cap {cfg.enumeration_cap}"
         )
     search = _HomSearch(q.structure, dst, cfg)
-    values = sorted(dst.domain)
-    for combo in product(values, repeat=len(free)):
-        pins = dict(zip(free, combo))
-        if next(search.solutions(pins), None) is not None:
+    if not search.feasible:
+        return
+    plan = search._plan(free)
+    run = search._run
+    for combo in product(sorted(dst.domain), repeat=len(free)):
+        if next(run(plan, combo), None) is not None:
             yield combo
 
 

@@ -12,6 +12,7 @@ from cqcount import (
     ConjunctiveQuery,
     CountingConfig,
     HomSearchConfig,
+    InputError,
     RelationalStructure,
     ResourceBudgetError,
     TrichotomyReport,
@@ -528,6 +529,14 @@ def test_classify_families():
         assert report.contract_treewidth == k - 1
         assert report.quantified_star_size == k
         assert report.strict_star_size == k
+
+
+def test_classify_rejects_bounds_below_one():
+    q = quantified_star_query(2)
+    for bounds in ((0, 3), (3, 0), (-1, 0)):
+        with pytest.raises(InputError):
+            classify(q, *bounds)
+    assert classify(q, 1, 1).case_label == CASE_III
 
 
 def test_classify_isomorphism_invariance():

@@ -1,7 +1,15 @@
 import random
+from itertools import product
 
 import pytest
-from conftest import all_maps, digraph, naive_answer_set, structure, undirected
+from conftest import (
+    all_maps,
+    digraph,
+    naive_answer_set,
+    naive_homomorphisms,
+    structure,
+    undirected,
+)
 
 from cqcount import (
     ConjunctiveQuery,
@@ -10,6 +18,7 @@ from cqcount import (
     ResourceBudgetError,
     are_isomorphic,
     count_answers_brute,
+    enumerate_answers,
     find_extension,
     free_automorphism_set,
     hom_equivalent,
@@ -17,7 +26,14 @@ from cqcount import (
     is_homomorphism,
     iter_homomorphisms,
 )
-from cqcount.generators import random_instance, random_structure, random_vocabulary
+from cqcount.generators import (
+    quantified_star_query,
+    random_instance,
+    random_structure,
+    random_vocabulary,
+)
+from cqcount.homomorphisms import _HomSearch
+from cqcount.structures import induced_substructure
 
 TRIANGLE = digraph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 EDGE_Q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x", "y"))
@@ -188,3 +204,120 @@ def test_budgets_raise_distinct_errors():
     q = ConjunctiveQuery(k4, tuple("abcd"))
     with pytest.raises(ResourceBudgetError):
         count_answers_brute(q, k3, HomSearchConfig(enumeration_cap=10))
+
+
+def _oracle_instance(rng):
+    """A query structure and target with unary, binary, ternary and 0-ary
+    symbols, repeated variables, and possibly empty relations or domains."""
+    symbols = {"U": 1, "E": 2, "T": 3, "Z": 0}
+    variables = [f"v{i}" for i in range(rng.randint(1, 5))]
+    atoms = {name: set() for name in symbols}
+    for _ in range(rng.randint(1, 5)):
+        name = rng.choice(["U", "E", "E", "T", "Z"])
+        # Few distinct variables, so atoms often repeat one.
+        pool = rng.sample(variables, min(len(variables), rng.randint(1, 3)))
+        atoms[name].add(tuple(rng.choice(pool) for _ in range(symbols[name])))
+    a = structure(symbols, variables, atoms)
+    elements = [f"b{i}" for i in range(rng.choice([0, 1, 2, 3, 3, 4]))]
+    rows = {name: set() for name in symbols}
+    for name, arity in symbols.items():
+        if arity == 0:
+            if rng.random() < 0.8:
+                rows[name].add(())
+        elif elements and rng.random() < 0.9:
+            for _ in range(rng.randint(1, 2 * len(elements) ** arity)):
+                rows[name].add(tuple(rng.choice(elements) for _ in range(arity)))
+    return a, structure(symbols, elements, rows)
+
+
+class _Shapes:
+    """Counts the instance shapes the oracle tests must cover."""
+
+    def __init__(self, monkeypatch):
+        self.seen = {"repeat_in_driving_atom": 0, "unary_atom": 0, "zero_ary_atom": 0,
+                     "empty_relation": 0, "empty_target": 0, "pin_outside_domain": 0,
+                     "quantified_linked_only_later": 0}
+        index = _HomSearch._support_index
+
+        def recording(search, ci, v, before):
+            t = search.constraints[ci][1]
+            self.seen["repeat_in_driving_atom"] += len(set(t)) < len(t)
+            return index(search, ci, v, before)
+
+        monkeypatch.setattr(_HomSearch, "_support_index", recording)
+
+    def note(self, a, b, pinned, pin_sets):
+        """Record the shapes of ``a`` -> ``b`` searched with ``pinned`` set to each of ``pin_sets``."""
+        used = {name for name, ts in a.relations.items() if ts}
+        self.seen["unary_atom"] += "U" in used
+        self.seen["zero_ary_atom"] += "Z" in used
+        self.seen["empty_relation"] += any(not b.tuples(name) for name in used)
+        self.seen["empty_target"] += not b.domain
+        search = _HomSearch(a, b)
+        if not (search.feasible and pinned):
+            return
+        self.seen["pin_outside_domain"] += any(
+            value not in search.base_sets[v]
+            for pins in pin_sets for v, value in zip(pinned, pins))
+        for v, _, key, _ in search._plan(tuple(pinned)).steps:
+            self.seen["quantified_linked_only_later"] += key is None and bool(search.watch[v])
+
+    def assert_all_seen(self):
+        assert all(self.seen.values()), self.seen
+
+
+def test_answers_match_independent_oracle(monkeypatch):
+    # count_answers_brute and enumerate_answers against the naive oracle,
+    # which shares no code with the pinned search.
+    rng = random.Random(61)
+    shapes = _Shapes(monkeypatch)
+    for _ in range(400):
+        a, b = _oracle_instance(rng)
+        free = tuple(rng.sample(a.domain, rng.randint(0, min(3, len(a.domain)))))
+        q = ConjunctiveQuery(a, free)
+        want = sorted(naive_answer_set(q, b))
+        assert enumerate_answers(q, b) == want
+        assert count_answers_brute(q, b) == len(want)
+        shapes.note(a, b, free, list(product(sorted(b.domain), repeat=len(free))))
+    shapes.assert_all_seen()
+
+
+def test_pinned_homomorphisms_match_independent_oracle(monkeypatch):
+    # iter_homomorphisms(partial=...) as a set, plain and injective, and a
+    # pinned search that avoids a target value, against naive enumeration.
+    rng = random.Random(62)
+    shapes = _Shapes(monkeypatch)
+    for _ in range(400):
+        a, b = _oracle_instance(rng)
+        pinned = rng.sample(a.domain, rng.randint(1, len(a.domain))) if b.domain else []
+        pins = {v: rng.choice(b.domain) for v in pinned}
+        shapes.note(a, b, sorted(pins), [tuple(pins[v] for v in sorted(pins))])
+
+        def naive(target):
+            return {frozenset(h.items()) for h in naive_homomorphisms(a, target)
+                    if all(h[v] == value for v, value in pins.items())}
+
+        want = naive(b)
+        for injective in (False, True):
+            got = [frozenset(h.items())
+                   for h in iter_homomorphisms(a, b, partial=pins, injective=injective)]
+            assert len(got) == len(set(got))
+            assert set(got) == {h for h in want
+                                if not injective or len(set(dict(h).values())) == len(h)}
+        if not b.domain:
+            continue
+        avoided = rng.choice(b.domain)
+        view = _HomSearch(a, b).avoiding(avoided)
+        got = {frozenset(h.items()) for h in view.solutions(pins)}
+        assert got == naive(induced_substructure(b, set(b.domain) - {avoided}))
+    shapes.assert_all_seen()
+
+
+def test_node_budget_counts_pin_sets_and_candidates():
+    # One node per pin set, one per candidate centre tried.
+    q = quantified_star_query(3)
+    b = digraph("abcd", [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "a")])
+    want = len(naive_answer_set(q, b))
+    with pytest.raises(ResourceBudgetError):
+        count_answers_brute(q, b, HomSearchConfig(node_budget=1))
+    assert count_answers_brute(q, b, HomSearchConfig(node_budget=1 + len(b.domain))) == want

@@ -249,6 +249,26 @@ def test_cli_selftest(capsys):
     assert "25 structural-vs-brute cross-checks, 0 failure(s)" in out
 
 
+@pytest.mark.parametrize("trials", ["-3", "0", "x"])
+def test_cli_selftest_rejects_non_positive_trials(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--trials", trials])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--trials" in captured.err
+    assert "cross-checks" not in captured.out
+
+
+@pytest.mark.parametrize("bounds", [("-1", "0"), ("0", "3"), ("3", "0")])
+def test_cli_analyze_rejects_bounds_below_one(bounds, capsys, tmp_path):
+    query = tmp_path / "q.query"
+    query.write_text("answer(x) :- E(x,y).")
+    code, out, err = run_cli(capsys, "analyze", "--query", str(query),
+                             "--k-core", bounds[0], "--k-contract", bounds[1])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: width bounds must be at least 1")
+
+
 def test_cli_parser_is_built_once_and_reused(capsys):
     count = ("count", "--db", str(DATA / "triangle.json"), "--query", str(DATA / "edge.query"))
     calls = [
