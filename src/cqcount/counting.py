@@ -6,14 +6,25 @@ touches (this quantifier-eliminated instance has the same answer set, and
 its hypergraph's primal graph is exactly the contract of the core's
 S-hypergraph), then count by sparse sum-product variable elimination
 (bucket elimination) along a tree decomposition of that graph: each atom
-is a table of the target tuples it matches, and eliminating a variable
-joins the tables that mention it and sums it out. Joins filter before
-they grow: a bucket starts from its largest table and next joins the
-table adding the fewest new variables, and the starting table, each
-intermediate product and the summed message absorb every pending table
-whose variables they cover. A bucket holding one table is summed out in
-one pass, and atoms of one relation with distinct variables share one
-table; no table is modified once built.
+is a table of the target tuples it matches, each component a table of its
+projection, and eliminating a variable joins the tables that mention it
+and sums it out. Joins filter before they grow: a bucket starts from its
+largest table and next joins the table adding the fewest new variables,
+and the starting table, each intermediate product and the summed message
+absorb every pending table whose variables they cover. A bucket holding
+one table is summed out in one pass, and atoms of one relation with
+distinct variables share one table; no table is modified once built.
+
+What counting and classifying read of the query alone is worked out once
+per query and kept: the core, its S-hypergraph, each S-component's scope
+and induced subquery, the core atoms over free variables only, the
+contract graph, its decomposition and the elimination order along it. The
+last 256 such analyses are memoised by (query value, search budgets,
+exact-treewidth threshold); the core's own decomposition and its star
+sizes, which only the classifier reads, join an analysis on its first
+classification. Nothing that reads the database is cached: a count builds
+its tables straight from the target's tuple sets, with no contracted
+structure in between.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -23,25 +34,28 @@ underlying theory classifies query classes, not individual queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import core_of_query
 from .errors import InputError, ResourceBudgetError
 from .homomorphisms import (
     HomSearchConfig,
     _answer_iter,
+    _check_int,
     check_vocabulary,
     count_answers_brute,
 )
 from .hypergraphs import (
     SComponent,
     SHypergraph,
-    contract,
+    _contract,
+    _star_sizes,
     hypergraph_of,
     primal_graph,
     s_components,
-    star_sizes,
 )
 from .structures import (
     ConjunctiveQuery,
@@ -67,6 +81,10 @@ CASE_III = "III_sharp_clique_hard"
 
 COMPONENT_PREFIX = "__comp_"
 
+# Query analyses kept for reuse, least recently used evicted first, as for
+# cores and decompositions.
+ANALYSIS_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class CountingConfig:
@@ -85,8 +103,9 @@ class CountingConfig:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_AUTO, MODE_BRUTE, MODE_STRUCTURAL):
             raise InputError(f"unknown counting mode {self.mode!r}")
-        if self.brute_cap <= 0 or self.width_cap <= 0:
-            raise InputError("caps must be positive")
+        _check_int("brute_cap", self.brute_cap, 1)
+        _check_int("width_cap", self.width_cap, 1)
+        _check_int("exact_tw_threshold", self.exact_tw_threshold, 0)
 
 
 DEFAULT_COUNTING_CONFIG = CountingConfig()
@@ -106,9 +125,13 @@ def component_projection(q: ConjunctiveQuery, dst: RelationalStructure,
     ``cfg.hom.enumeration_cap`` bounds the |target domain|^|scope|
     candidate tuples it may walk (ResourceBudgetError beyond it).
     """
+    return comp.free_scope, frozenset(_answer_iter(_subquery(q, comp), dst, cfg.hom))
+
+
+def _subquery(q: ConjunctiveQuery, comp: SComponent) -> ConjunctiveQuery:
+    """The component's induced subquery, headed by its sorted free scope."""
     sub = induced_substructure(q.structure, comp.closure | comp.component_core)
-    rows = _answer_iter(ConjunctiveQuery(sub, comp.free_scope), dst, cfg.hom)
-    return comp.free_scope, frozenset(rows)
+    return ConjunctiveQuery(sub, comp.free_scope)
 
 
 def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
@@ -315,26 +338,32 @@ def _elimination_order(td: TreeDecomposition) -> List[str]:
     return [v for level in reversed(levels) for v in level]
 
 
-def _sum_product(q: ConjunctiveQuery, dst: RelationalStructure,
-                 td: TreeDecomposition) -> int:
-    """Bucket elimination of every variable of ``q`` along ``td``.
+def _relation_factors(atoms: Iterable[Tuple[str, Iterable[tuple]]],
+                      dst: RelationalStructure) -> Iterator[Tuple[tuple, dict]]:
+    """One factor per atom; the atoms of one relation share its target table."""
+    for name, ts in atoms:
+        shared = dict.fromkeys(dst.tuples(name), 1)
+        for t in ts:
+            yield _atom_factor(t, shared)
+
+
+def _sum_product(factors: Iterable[Tuple[tuple, dict]], order: Sequence[str],
+                 size: int) -> int:
+    """Bucket elimination of the variables in ``order``, in that order.
 
     Each factor waits in the bucket of its earliest-eliminated variable;
     eliminating that variable joins the bucket and passes the result on.
+    An empty factor ends the count at 0 before the later ones are drawn,
+    and a variable in no factor contributes ``size``.
     """
-    order = _elimination_order(td)
     pos = {v: i for i, v in enumerate(order)}
     buckets: List[Optional[list]] = [[] for _ in order]
     total = 1
-    for name, ts in q.structure.relations.items():
-        shared = dict.fromkeys(dst.tuples(name), 1) if ts else None
-        for t in ts:
-            scope, table = _atom_factor(t, shared)
-            if not table:
-                return 0
-            if scope:
-                buckets[min(pos[v] for v in scope)].append((scope, table))
-    size = len(dst.domain)
+    for scope, table in factors:
+        if not table:
+            return 0
+        if scope:
+            buckets[min(pos[v] for v in scope)].append((scope, table))
     for i, var in enumerate(order):
         bucket = buckets[i]
         buckets[i] = None
@@ -375,7 +404,55 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
         raise InputError("count_quantifier_free_td expects a quantifier-free query")
     check_vocabulary(q.structure, dst)
     verify_decomposition(primal_graph(hypergraph_of(q)), td)
-    return _sum_product(q, dst, td)
+    atoms = [(name, ts) for name, ts in q.structure.relations.items() if ts]
+    return _sum_product(_relation_factors(atoms, dst), _elimination_order(td),
+                        len(dst.domain))
+
+
+class _Analysis:
+    """What counting and classifying read of one query, apart from any target.
+
+    ``components`` pairs each S-component of the core's hypergraph with
+    its induced subquery; ``free_atoms`` holds, per relation, the core
+    atoms whose variables are all free; ``order`` eliminates the variables
+    of the contract graph bottom-up along ``contract_td``. The core's own
+    decomposition and its star sizes are computed on first use, so a count
+    never pays for them.
+    """
+
+    def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig, threshold: int):
+        self.core = core_of_query(q, hom)
+        self.hypergraph = hypergraph_of(self.core)
+        self.threshold = threshold
+        self._comps = s_components(self.hypergraph)
+        self.components = tuple((comp.free_scope, _subquery(self.core, comp))
+                                for comp in self._comps)
+        free = frozenset(self.core.free_vars)
+        self.free_atoms = tuple(
+            (name, kept)
+            for name, ts in self.core.structure.relations.items()
+            if (kept := tuple(t for t in ts if free.issuperset(t)))
+        )
+        self.contract_graph = _contract(self.hypergraph, self._comps)
+        self.contract_td = decompose(primal_graph(self.contract_graph), threshold)
+        self.order = _elimination_order(self.contract_td)
+
+    @cached_property
+    def core_td(self) -> TreeDecomposition:
+        return decompose(primal_graph(self.hypergraph), self.threshold)
+
+    @cached_property
+    def star_sizes(self) -> Tuple[int, int]:
+        return _star_sizes(self._comps)
+
+
+@lru_cache(maxsize=ANALYSIS_CACHE_SIZE)
+def _analyse(q: ConjunctiveQuery, hom: HomSearchConfig, threshold: int) -> _Analysis:
+    """The analysis of ``q``, memoised by (query value, ``hom``, ``threshold``).
+
+    A budget error raised while it is built is not remembered.
+    """
+    return _Analysis(q, hom, threshold)
 
 
 def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
@@ -386,13 +463,17 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
     DP; auto prefers structural when the contracted width fits the cap and
     falls back to brute while it stays within its cap. All modes agree
     whenever they run to completion.
+
+    The query's analysis (core, components, contract graph, decomposition
+    and elimination order) is memoised and shared with ``classify``;
+    nothing read from ``dst`` is cached. An empty table ends the count at
+    0 before later components are projected.
     """
     check_vocabulary(q.structure, dst)
     if cfg.mode == MODE_BRUTE:
         return count_answers_brute(q, dst, cfg.hom)
-    core = core_of_query(q, cfg.hom)
-    left, right = contract_instance(core, dst, cfg)
-    td = decompose(primal_graph(hypergraph_of(left)), cfg.exact_tw_threshold)
+    analysis = _analyse(q, cfg.hom, cfg.exact_tw_threshold)
+    td = analysis.contract_td
     if td.width > cfg.width_cap:
         if cfg.mode == MODE_STRUCTURAL:
             raise ResourceBudgetError(
@@ -403,7 +484,10 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
         raise ResourceBudgetError(
             "instance exceeds both the width cap and the brute-force cap"
         )
-    return _sum_product(left, right, td)
+    projections = ((scope, dict.fromkeys(_answer_iter(sub, dst, cfg.hom), 1))
+                   for scope, sub in analysis.components)
+    factors = chain(_relation_factors(analysis.free_atoms, dst), projections)
+    return _sum_product(factors, analysis.order, len(dst.domain))
 
 
 @dataclass(frozen=True)
@@ -457,16 +541,16 @@ def classify(q: ConjunctiveQuery, k_core: int = 3, k_contract: int = 3,
     case II otherwise (core width reaches its bound, contract stays below).
     Labels are advisory when a width is only an upper bound. Bounds below
     1 are rejected with InputError.
+
+    It reads the analysis ``count_answers`` memoises, and keeps the core's
+    decomposition and star sizes with it on first use.
     """
     if k_core < 1 or k_contract < 1:
         raise InputError(f"width bounds must be at least 1, got k_core={k_core}, "
                          f"k_contract={k_contract}")
-    core = core_of_query(q, cfg.hom)
-    h = hypergraph_of(core)
-    core_td = decompose(primal_graph(h), cfg.exact_tw_threshold)
-    cg = contract(h)
-    contract_td = decompose(primal_graph(cg), cfg.exact_tw_threshold)
-    star, strict = star_sizes(h)
+    analysis = _analyse(q, cfg.hom, cfg.exact_tw_threshold)
+    core_td, contract_td = analysis.core_td, analysis.contract_td
+    star, strict = analysis.star_sizes
     if contract_td.width >= k_contract:
         label = CASE_III
     elif core_td.width >= k_core:
@@ -474,10 +558,10 @@ def classify(q: ConjunctiveQuery, k_core: int = 3, k_contract: int = 3,
     else:
         label = CASE_I
     return TrichotomyReport(
-        core_query=core,
+        core_query=analysis.core,
         core_treewidth=core_td.width,
         core_treewidth_exact=core_td.exactness == EXACT,
-        contract_graph=cg,
+        contract_graph=analysis.contract_graph,
         contract_treewidth=contract_td.width,
         contract_treewidth_exact=contract_td.exactness == EXACT,
         quantified_star_size=star,

@@ -43,10 +43,16 @@ class HomSearchConfig:
     enumeration_cap: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.node_budget <= 0:
-            raise InputError("node_budget must be positive")
-        if self.enumeration_cap <= 0:
-            raise InputError("enumeration_cap must be positive")
+        _check_int("node_budget", self.node_budget, 1)
+        _check_int("enumeration_cap", self.enumeration_cap, 1)
+
+
+def _check_int(name: str, value: object, least: int) -> None:
+    """InputError unless ``value`` is an int, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be at least {least}, got {value}")
 
 
 DEFAULT_CONFIG = HomSearchConfig()

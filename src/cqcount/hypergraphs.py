@@ -165,9 +165,14 @@ def star_sizes(h: SHypergraph, cap: int = DEFAULT_STAR_SIZE_CAP) -> Tuple[int, i
     vertices are adjacent iff a touched edge contains both. Both are 0 when
     there are no S-components.
     """
+    return _star_sizes(s_components(h), cap)
+
+
+def _star_sizes(comps: List[SComponent], cap: int = DEFAULT_STAR_SIZE_CAP) -> Tuple[int, int]:
+    """``star_sizes`` of the hypergraph whose S-components are ``comps``."""
     star = 0
     strict = 0
-    for comp in s_components(h):
+    for comp in comps:
         free_here = comp.free_scope
         strict = max(strict, len(free_here))
         if len(free_here) > cap:
@@ -193,12 +198,17 @@ def contract(h: SHypergraph) -> SHypergraph:
     of free vertices lying in a common component closure gains an edge. The
     result is quantifier-free: its S set is its whole vertex set.
     """
+    return _contract(h, s_components(h))
+
+
+def _contract(h: SHypergraph, comps: List[SComponent]) -> SHypergraph:
+    """``contract(h)``, given the S-components of ``h``."""
     new_edges = set()
     for e in h.edges:
         r = frozenset(v for v in e if v in h.s_set)
         if r:
             new_edges.add(r)
-    for comp in s_components(h):
+    for comp in comps:
         for i, u in enumerate(comp.free_scope):
             for v in comp.free_scope[i + 1:]:
                 new_edges.add(frozenset((u, v)))

@@ -9,13 +9,20 @@ from itertools import product
 import pytest
 
 from cqcount import RelationalStructure, Vocabulary, core_of_query, decompose, is_homomorphism
+from cqcount.counting import _analyse
+
+
+def clear_caches():
+    """Empty the core, decomposition and query-analysis caches."""
+    core_of_query.cache_clear()
+    decompose.cache_clear()
+    _analyse.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Start every test with empty core and decomposition caches."""
-    core_of_query.cache_clear()
-    decompose.cache_clear()
+    """Start every test with empty caches."""
+    clear_caches()
 
 
 def structure(symbols, domain, relations):

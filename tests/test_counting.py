@@ -467,6 +467,54 @@ def test_modes_agree_random():
         assert count_answers(q, b, auto) == want
 
 
+def test_count_answers_matches_the_replayed_pipeline():
+    # count_answers builds its tables from a memoised analysis; the public
+    # steps (core, contract_instance, decompose, count_quantifier_free_td)
+    # are what perfbench's traced counts replay. Both must agree with brute
+    # force, cold and warm.
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(300):
+        q, b = random_quantifier_free_instance(rng)
+        variables = list(q.structure.domain)
+        free = rng.sample(variables, rng.randint(0, len(variables)))
+        q = ConjunctiveQuery(q.structure, tuple(free))
+        core = core_of_query(q)
+        left, right = contract_instance(core, b)
+        td = decompose(primal_graph(hypergraph_of(left)))
+        want = count_answers_brute(q, b)
+        assert count_quantifier_free_td(left, right, td) == want
+        assert count_answers(q, b, STRUCTURAL) == count_answers(q, b, STRUCTURAL) == want
+        atoms = core.structure.atoms()
+        used = {v for _, t in atoms for v in t}
+        seen.update(
+            {"0-ary" for _, t in atoms if not t}
+            | {"repeat" for _, t in atoms if len(set(t)) < len(t)}
+            | {"empty relation" for name, t in atoms if not b.tuples(name)}
+            | ({"empty target"} if not b.domain else set())
+            | ({"isolated quantified"} if set(core.quantified_vars) - used else set())
+            | {"boolean component" for comp in s_components(hypergraph_of(core))
+               if not comp.free_scope}
+        )
+    assert seen == {"0-ary", "repeat", "empty relation", "empty target",
+                    "isolated quantified", "boolean component"}
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (CountingConfig, "width_cap", True),
+    (CountingConfig, "brute_cap", 0.5),
+    (CountingConfig, "brute_cap", 0),
+    (CountingConfig, "exact_tw_threshold", -1),
+    (CountingConfig, "exact_tw_threshold", "16"),
+    (HomSearchConfig, "node_budget", 2.5),
+    (HomSearchConfig, "enumeration_cap", False),
+    (HomSearchConfig, "node_budget", 0),
+])
+def test_configs_reject_non_integers_and_values_out_of_range(config, field, value):
+    with pytest.raises(InputError):
+        config(**{field: value})
+
+
 def test_isolated_free_variables_multiply():
     q = ConjunctiveQuery(digraph(["x", "y", "lone"], [("x", "y")]), ("x", "lone"))
     assert count_answers(q, TRIANGLE, STRUCTURAL) == 9
