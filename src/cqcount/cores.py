@@ -13,33 +13,33 @@ consistency from the constraints on the variables that lost it. This
 reaches the domains, variable order and first solution that a fresh search
 into the substructure without the candidate would, so the core is the same
 as with one such search per candidate, without rebuilding it each time.
+The rounds work on bare atom lists and tuple sets, each filtered to the
+last retraction's image; one structure is built at the end.
 
-The core of a query pins every free variable first (augment), cores the
-pinned structure, and strips the pins again: the pins force every free
-variable to survive, so the free tuple carries over unchanged.
+The core of a query fixes every free variable by its search domain: a free
+variable starts with itself as its only value, so every endomorphism the
+search finds fixes it, and it survives into the core with the free tuple
+unchanged. Under arc consistency this gives the same domains, variable
+order and solutions as pinning each free variable with a singleton unary
+relation (``augment``) and coring the pinned structure.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError
 from .homomorphisms import DEFAULT_CONFIG, HomSearchConfig, _HomSearch
-from .structures import (
-    ConjunctiveQuery,
-    RelationalStructure,
-    _with_pins,
-    drop_relations,
-    induced_substructure,
-)
+from .structures import ConjunctiveQuery, RelationalStructure
 
 
-def _find_retraction(a: RelationalStructure, cfg: HomSearchConfig,
+def _find_retraction(atoms: list, domain: Sequence[str], relations: Mapping[str, frozenset],
+                     start: Mapping[str, list], cfg: HomSearchConfig,
                      element_order: Sequence[str]):
     if not element_order:
         return None
-    search = _HomSearch(a, a, cfg)
+    search = _HomSearch(atoms, domain, relations, domain, start, cfg)
     for v in element_order:
         h = next(search.avoiding(v).solutions(), None)
         if h is not None:
@@ -49,19 +49,33 @@ def _find_retraction(a: RelationalStructure, cfg: HomSearchConfig,
 
 def is_core(a: RelationalStructure, cfg: HomSearchConfig = DEFAULT_CONFIG) -> bool:
     """True iff no endomorphism lands in a proper substructure."""
-    return _find_retraction(a, cfg, sorted(a.domain)) is None
+    return _find_retraction(a.atoms(), a.domain, a.relations, {}, cfg,
+                            sorted(a.domain)) is None
 
 
-def _shrink(a: RelationalStructure, cfg: HomSearchConfig,
-            candidates: Sequence[str]) -> RelationalStructure:
-    """Retract onto images until no candidate can be dropped."""
-    current = a
+def _shrink(a: RelationalStructure, cfg: HomSearchConfig, candidates: Sequence[str],
+            fixed: Sequence[str] = ()) -> RelationalStructure:
+    """Retract onto images until no candidate can be dropped.
+
+    Each element of ``fixed`` starts with itself as its only value, so
+    every retraction fixes it. Returns ``a`` itself if nothing is dropped.
+    """
+    atoms, domain, relations = a.atoms(), a.domain, a.relations
+    start = {v: [v] for v in fixed}
     while True:
-        present = set(current.domain)
-        h = _find_retraction(current, cfg, [v for v in candidates if v in present])
+        present = set(domain)
+        h = _find_retraction(atoms, domain, relations, start, cfg,
+                             [v for v in candidates if v in present])
         if h is None:
-            return current
-        current = induced_substructure(current, sorted(set(h.values())))
+            break
+        image = set(h.values())
+        domain = [v for v in domain if v in image]
+        atoms = [atom for atom in atoms if image.issuperset(atom[1])]
+        relations = {name: {t for t in ts if image.issuperset(t)}
+                     for name, ts in relations.items()}
+    if len(domain) == len(a.domain):
+        return a
+    return RelationalStructure(a.vocabulary, tuple(domain), relations)
 
 
 def core_of_structure(a: RelationalStructure,
@@ -88,14 +102,14 @@ CORE_CACHE_SIZE = 256
 @lru_cache(maxsize=CORE_CACHE_SIZE)
 def core_of_query(q: ConjunctiveQuery,
                   cfg: HomSearchConfig = DEFAULT_CONFIG) -> ConjunctiveQuery:
-    """The core of a query: core the pinned structure, then unpin.
+    """The core of a query, free variables fixed by their search domains.
 
-    Every free variable is pinned by a singleton unary relation, so it is
-    fixed by every endomorphism of the pinned structure and survives into
-    the core; the returned query keeps the original free tuple. Dropping a
-    pinned variable would empty its pin relation, so only quantified
+    Every free variable starts each search with itself as its only value,
+    so it is fixed by every retraction and survives into the core; the
+    returned query keeps the original free tuple. Only quantified
     variables are tried as deletion candidates, and a query without
-    quantified variables is already its own core.
+    quantified variables, or one nothing can be dropped from, is returned
+    as it is.
 
     Results are memoised by (query value, ``cfg``) and shared between
     callers; they are immutable. A search that raises (a budget overrun) is
@@ -104,7 +118,5 @@ def core_of_query(q: ConjunctiveQuery,
     quantified = q.quantified_vars
     if not quantified:
         return q
-    pinned, names = _with_pins(q.structure, q.free_vars)
-    core = _shrink(pinned, cfg, sorted(quantified))
-    stripped = drop_relations(core, names.values())
-    return ConjunctiveQuery(stripped, q.free_vars)
+    core = _shrink(q.structure, cfg, sorted(quantified), q.free_vars)
+    return q if core is q.structure else ConjunctiveQuery(core, q.free_vars)

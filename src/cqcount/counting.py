@@ -17,14 +17,17 @@ distinct variables share one table; no table is modified once built.
 
 What counting and classifying read of the query alone is worked out once
 per query and kept: the core, its S-hypergraph, each S-component's scope
-and induced subquery, the core atoms over free variables only, the
-contract graph, its decomposition and the elimination order along it. The
+and the bare sorted atoms and domain of its induced subquery, the core
+atoms over free variables only, the contract graph (sharing the
+hypergraph's all-free edges), its decomposition and the elimination order
+along it. The
 last 256 such analyses are memoised by (query value, search budgets,
 exact-treewidth threshold); the core's own decomposition and its star
 sizes, which only the classifier reads, join an analysis on its first
 classification. Nothing that reads the database is cached: a count builds
-its tables straight from the target's tuple sets, with no contracted
-structure in between.
+its tables straight from the target's tuple sets, and each component's
+search straight from its kept atoms, with no contracted structure or
+subquery in between.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -43,7 +46,9 @@ from .cores import core_of_query
 from .errors import InputError, ResourceBudgetError
 from .homomorphisms import (
     HomSearchConfig,
-    _answer_iter,
+    _HomSearch,
+    _answers,
+    _check_candidates,
     _check_int,
     check_vocabulary,
     count_answers_brute,
@@ -57,12 +62,7 @@ from .hypergraphs import (
     primal_graph,
     s_components,
 )
-from .structures import (
-    ConjunctiveQuery,
-    RelationalStructure,
-    Vocabulary,
-    induced_substructure,
-)
+from .structures import ConjunctiveQuery, RelationalStructure, Vocabulary
 from .treewidth import (
     DEFAULT_EXACT_THRESHOLD,
     EXACT,
@@ -111,6 +111,31 @@ class CountingConfig:
 DEFAULT_COUNTING_CONFIG = CountingConfig()
 
 
+def _bare_subquery(atoms: List[Tuple[str, tuple]], domain: Sequence[str],
+                   comp: SComponent) -> Tuple[tuple, list, tuple]:
+    """A component's free scope and its induced subquery's atoms and domain.
+
+    The atoms keep the sorted order of ``atoms``; like
+    ``induced_substructure``, the subquery keeps every 0-ary atom.
+    """
+    keep = comp.closure | comp.component_core
+    return (comp.free_scope, [atom for atom in atoms if keep.issuperset(atom[1])],
+            tuple(v for v in domain if v in keep))
+
+
+def _projection(component: Tuple[tuple, list, tuple], dst: RelationalStructure,
+                hom: HomSearchConfig) -> Tuple[tuple, dict]:
+    """A component's factor: its scope and the answers of its subquery in ``dst``.
+
+    The vocabulary is taken as checked; the candidate count is checked
+    before the search is built.
+    """
+    scope, atoms, domain = component
+    _check_candidates(len(dst.domain), len(scope), hom)
+    search = _HomSearch(atoms, domain, dst.relations, dst.domain, cfg=hom)
+    return scope, dict.fromkeys(_answers(search, scope), 1)
+
+
 def component_projection(q: ConjunctiveQuery, dst: RelationalStructure,
                          comp: SComponent,
                          cfg: CountingConfig = DEFAULT_COUNTING_CONFIG) -> Tuple[Tuple[str, ...], frozenset]:
@@ -125,13 +150,10 @@ def component_projection(q: ConjunctiveQuery, dst: RelationalStructure,
     ``cfg.hom.enumeration_cap`` bounds the |target domain|^|scope|
     candidate tuples it may walk (ResourceBudgetError beyond it).
     """
-    return comp.free_scope, frozenset(_answer_iter(_subquery(q, comp), dst, cfg.hom))
-
-
-def _subquery(q: ConjunctiveQuery, comp: SComponent) -> ConjunctiveQuery:
-    """The component's induced subquery, headed by its sorted free scope."""
-    sub = induced_substructure(q.structure, comp.closure | comp.component_core)
-    return ConjunctiveQuery(sub, comp.free_scope)
+    check_vocabulary(q.structure, dst)
+    component = _bare_subquery(q.structure.atoms(), q.structure.domain, comp)
+    scope, rows = _projection(component, dst, cfg.hom)
+    return scope, frozenset(rows)
 
 
 def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
@@ -156,12 +178,13 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     for name, ts in q.structure.relations.items():
         left_rels[name] = frozenset(t for t in ts if set(t) <= free)
     right_rels: Dict[str, frozenset] = {name: dst.tuples(name) for name in left_symbols}
+    atoms = q.structure.atoms()
     for i, comp in enumerate(comps):
-        scope, rows = component_projection(q, dst, comp, cfg)
+        scope, rows = _projection(_bare_subquery(atoms, q.structure.domain, comp), dst, cfg.hom)
         name = f"{COMPONENT_PREFIX}{i}"
         left_symbols[name] = len(scope)
         left_rels[name] = frozenset({scope})
-        right_rels[name] = rows
+        right_rels[name] = frozenset(rows)
     vocab = Vocabulary(left_symbols)
     left = RelationalStructure(vocab, q.free_vars, left_rels)
     right = RelationalStructure(vocab, dst.domain, right_rels)
@@ -412,12 +435,15 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
 class _Analysis:
     """What counting and classifying read of one query, apart from any target.
 
-    ``components`` pairs each S-component of the core's hypergraph with
-    its induced subquery; ``free_atoms`` holds, per relation, the core
-    atoms whose variables are all free; ``order`` eliminates the variables
-    of the contract graph bottom-up along ``contract_td``. The core's own
-    decomposition and its star sizes are computed on first use, so a count
-    never pays for them.
+    ``components`` holds, per S-component of the core's hypergraph, its
+    free scope and the sorted atoms and domain of its induced subquery,
+    bare, so that a count only builds the search that reads the target;
+    ``free_atoms`` holds, per relation, the core atoms whose variables are
+    all free; ``order`` eliminates the variables of the contract graph
+    bottom-up along ``contract_td``. The contract graph shares its all-free
+    edges with the hypergraph, and is the hypergraph itself when there is
+    no S-component. The core's own decomposition and its star sizes are
+    computed on first use, so a count never pays for them.
     """
 
     def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig, threshold: int):
@@ -425,7 +451,8 @@ class _Analysis:
         self.hypergraph = hypergraph_of(self.core)
         self.threshold = threshold
         self._comps = s_components(self.hypergraph)
-        self.components = tuple((comp.free_scope, _subquery(self.core, comp))
+        atoms = self.core.structure.atoms()
+        self.components = tuple(_bare_subquery(atoms, self.core.structure.domain, comp)
                                 for comp in self._comps)
         free = frozenset(self.core.free_vars)
         self.free_atoms = tuple(
@@ -484,8 +511,7 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
         raise ResourceBudgetError(
             "instance exceeds both the width cap and the brute-force cap"
         )
-    projections = ((scope, dict.fromkeys(_answer_iter(sub, dst, cfg.hom), 1))
-                   for scope, sub in analysis.components)
+    projections = (_projection(comp, dst, cfg.hom) for comp in analysis.components)
     factors = chain(_relation_factors(analysis.free_atoms, dst), projections)
     return _sum_product(factors, analysis.order, len(dst.domain))
 

@@ -11,6 +11,9 @@ values from a support index of one constraint over variables already set.
 Brute-force answer counting plans once and pins each candidate tuple of
 free values in turn. Counts use Python integers and are never
 approximated; running out of budget raises, it does not round.
+
+A search is built from bare atom lists and tuple sets; ``_search`` builds
+one for two structures after checking their vocabularies.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .structures import Assignment, ConjunctiveQuery, RelationalStructure
@@ -94,6 +97,11 @@ class _Plan(NamedTuple):
 class _HomSearch:
     """Reusable backtracking context for homomorphisms src -> dst.
 
+    ``atoms`` are the source's sorted (relation, tuple) pairs, 0-ary ones
+    included; ``dst_rel`` maps their relations to the target's tuple sets.
+    A variable starts with the sorted target domain or its ``start`` entry;
+    one starting value acts as a singleton unary relation pinning it there.
+
     Building the context indexes the instance once; ``solutions`` can then
     be called many times with different pinned variables (this is what makes
     brute-force answer counting tolerable). Generalized arc consistency
@@ -110,30 +118,24 @@ class _HomSearch:
     rows allow the variable, given theirs, restricted to its domain.
     """
 
-    def __init__(self, src: RelationalStructure, dst: RelationalStructure,
+    def __init__(self, atoms: Sequence[Tuple[str, tuple]], src_domain: Sequence[str],
+                 dst_rel: Mapping[str, frozenset], dst_domain: Iterable[str],
+                 start: Optional[Mapping[str, Sequence[str]]] = None,
                  cfg: HomSearchConfig = DEFAULT_CONFIG):
-        check_vocabulary(src, dst)
         self.cfg = cfg
-        self.src_domain = set(src.domain)
-        self.dst_domain = set(dst.domain)
-        self.dst_rel = {name: dst.tuples(name) for name in src.vocabulary.symbols}
-        self.constraints = [
-            (name, t)
-            for name, ts in sorted(src.relations.items())
-            for t in sorted(ts)
-            if t
-        ]
+        self.src_domain = set(src_domain)
+        self.dst_domain = set(dst_domain)
+        self.dst_rel = dst_rel
+        self.constraints = [atom for atom in atoms if atom[1]]
         # A 0-ary source tuple is a bare truth requirement on the target;
         # an empty target leaves no value for any source variable.
-        self.feasible = (bool(dst.domain) or not src.domain) and all(
-            () in self.dst_rel[name]
-            for name, ts in src.relations.items()
-            if () in ts
-        )
-        values = sorted(dst.domain)
-        base = {v: list(values) for v in src.domain}
+        self.feasible = (bool(self.dst_domain) or not self.src_domain) and all(
+            () in dst_rel[name] for name, t in atoms if not t)
+        self.values = sorted(self.dst_domain)
+        start = start or {}
+        base = {v: list(start.get(v, self.values)) for v in src_domain}
         # Variable -> indices of the constraints it occurs in.
-        self.watch = {v: [] for v in src.domain}
+        self.watch = {v: [] for v in src_domain}
         for ci, (_, t) in enumerate(self.constraints):
             for v in set(t):
                 self.watch[v].append(ci)
@@ -344,6 +346,13 @@ class _HomSearch:
             ) from None
 
 
+def _search(src: RelationalStructure, dst: RelationalStructure,
+            cfg: HomSearchConfig = DEFAULT_CONFIG) -> _HomSearch:
+    """The search for homomorphisms src -> dst, vocabularies checked first."""
+    check_vocabulary(src, dst)
+    return _HomSearch(src.atoms(), src.domain, dst.relations, dst.domain, cfg=cfg)
+
+
 def find_extension(src: RelationalStructure, dst: RelationalStructure,
                    partial: Optional[Mapping[str, str]] = None,
                    cfg: HomSearchConfig = DEFAULT_CONFIG) -> Optional[Assignment]:
@@ -351,7 +360,7 @@ def find_extension(src: RelationalStructure, dst: RelationalStructure,
 
     Deterministic: the canonically first solution is returned.
     """
-    return next(_HomSearch(src, dst, cfg).solutions(partial), None)
+    return next(_search(src, dst, cfg).solutions(partial), None)
 
 
 def hom_exists(src: RelationalStructure, dst: RelationalStructure,
@@ -384,24 +393,32 @@ def iter_homomorphisms(src: RelationalStructure, dst: RelationalStructure,
                        partial: Optional[Mapping[str, str]] = None,
                        injective: bool = False) -> Iterator[Assignment]:
     """All homomorphisms src -> dst (optionally injective), canonical order."""
-    yield from _HomSearch(src, dst, cfg).solutions(partial, injective=injective)
+    yield from _search(src, dst, cfg).solutions(partial, injective=injective)
+
+
+def _check_candidates(size: int, free: int, cfg: HomSearchConfig) -> None:
+    """ResourceBudgetError if ``size``^``free`` candidate tuples exceed the cap."""
+    if size ** free > cfg.enumeration_cap:
+        raise ResourceBudgetError(
+            f"{size}^{free} candidate assignments exceed the "
+            f"enumeration cap {cfg.enumeration_cap}"
+        )
 
 
 def _answer_iter(q: ConjunctiveQuery, dst: RelationalStructure,
                  cfg: HomSearchConfig) -> Iterator[tuple]:
-    free = q.free_vars
-    total = len(dst.domain) ** len(free)
-    if total > cfg.enumeration_cap:
-        raise ResourceBudgetError(
-            f"{len(dst.domain)}^{len(free)} candidate assignments exceed the "
-            f"enumeration cap {cfg.enumeration_cap}"
-        )
-    search = _HomSearch(q.structure, dst, cfg)
+    """The answers of ``q`` in ``dst``, sorted; the candidate count is checked first."""
+    _check_candidates(len(dst.domain), len(q.free_vars), cfg)
+    return _answers(_search(q.structure, dst, cfg), q.free_vars)
+
+
+def _answers(search: _HomSearch, free: Tuple[str, ...]) -> Iterator[tuple]:
+    """Each tuple of target values for ``free`` that extends to a solution, in order."""
     if not search.feasible:
         return
     plan = search._plan(free)
     run = search._run
-    for combo in product(sorted(dst.domain), repeat=len(free)):
+    for combo in product(search.values, repeat=len(free)):
         if next(run(plan, combo), None) is not None:
             yield combo
 

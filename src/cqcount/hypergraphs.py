@@ -202,18 +202,26 @@ def contract(h: SHypergraph) -> SHypergraph:
 
 
 def _contract(h: SHypergraph, comps: List[SComponent]) -> SHypergraph:
-    """``contract(h)``, given the S-components of ``h``."""
+    """``contract(h)``, given the S-components of ``h``.
+
+    Without S-components every vertex is free and the contract is ``h``
+    itself; otherwise an edge that is already all free is kept as it is,
+    not copied, and so is the S set.
+    """
+    if not comps:
+        return h
+    s_set = h.s_set
     new_edges = set()
     for e in h.edges:
-        r = frozenset(v for v in e if v in h.s_set)
+        r = e if e <= s_set else frozenset(v for v in e if v in s_set)
         if r:
             new_edges.add(r)
     for comp in comps:
         for i, u in enumerate(comp.free_scope):
             for v in comp.free_scope[i + 1:]:
                 new_edges.add(frozenset((u, v)))
-    verts = tuple(v for v in h.vertices if v in h.s_set)
-    return SHypergraph(verts, frozenset(new_edges), frozenset(verts))
+    verts = tuple(v for v in h.vertices if v in s_set)
+    return SHypergraph(verts, frozenset(new_edges), s_set)
 
 
 def primal_graph(h: SHypergraph) -> Graph:

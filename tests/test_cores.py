@@ -3,11 +3,11 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from conftest import digraph, structure, undirected
+from conftest import digraph, naive_homomorphisms, structure, undirected
 
 from cqcount import (
     ConjunctiveQuery,
@@ -39,7 +39,7 @@ from cqcount.generators import (
     random_vocabulary,
     redundant_variant,
 )
-from cqcount.homomorphisms import _HomSearch
+from cqcount.homomorphisms import _search
 from cqcount.structures import _with_pins
 
 TRIANGLE = undirected("abc", [("a", "b"), ("b", "c"), ("c", "a")])
@@ -229,7 +229,7 @@ def test_arc_consistency_reaches_the_greatest_fixpoint():
     for _ in range(200):
         q, b = random_instance(rng, max_vars=6, max_atoms=6, max_target=4)
         want = naive_arc_consistent_domains(q.structure, b)
-        search = _HomSearch(q.structure, b)
+        search = _search(q.structure, b)
         wiped_out = any(not d for d in want.values())
         zero_ary_fails = any(() in ts and () not in b.tuples(name)
                              for name, ts in q.structure.relations.items())
@@ -247,9 +247,9 @@ def test_shared_search_matches_per_candidate_reference():
     for _ in range(150):
         a = random_structure(rng, random_vocabulary(rng), max_elements=6)
         order = sorted(a.domain)
-        search = _HomSearch(a, a, cfg)
+        search = _search(a, a, cfg)
         for v in order:
-            fresh = _HomSearch(a, induced_substructure(a, set(a.domain) - {v}), cfg)
+            fresh = _search(a, induced_substructure(a, set(a.domain) - {v}), cfg)
             view = search.avoiding(v)
             assert next(view.solutions(), None) == next(fresh.solutions(), None)
             assert view.feasible == fresh.feasible
@@ -271,6 +271,87 @@ def test_shared_search_matches_per_candidate_reference():
         assert core == reference_core_of_query(q, cfg)
         shrunk += len(core.structure.domain) < len(q.structure.domain)
     assert shrunk >= 20
+
+
+def equivalent_fixing_free(q, sub):
+    """Some map of q into its induced subquery sub fixes every free variable.
+
+    Checked map by map with is_homomorphism, apart from the search code;
+    sub maps back into q by inclusion.
+    """
+    quantified = q.quantified_vars
+    fixed = {v: v for v in q.free_vars}
+    return any(is_homomorphism(q.structure, sub, {**fixed, **dict(zip(quantified, combo))})
+               for combo in product(sub.domain, repeat=len(quantified)))
+
+
+def test_query_cores_against_a_search_free_oracle():
+    # A subquery equivalent to q stays equivalent when variables are added
+    # back, so the core is minimal iff no induced subquery one variable
+    # smaller that keeps the free variables is equivalent to q.
+    rng = random.Random(37)
+    shrunk = variants = 0
+    for i in range(200):
+        while True:
+            q = random_query(rng, max_vars=5, max_free=3, max_atoms=5)
+            if i % 2:
+                q = redundant_variant(rng, q)
+            if len(q.structure.domain) <= 5:
+                break
+        variants += i % 2
+        core = core_of_query(q)
+        assert core.free_vars == q.free_vars
+        aq, acore = augment(q), augment(core)
+        assert naive_homomorphisms(aq, acore) and naive_homomorphisms(acore, aq)
+        size = len(core.structure.domain)
+        assert size == len(q.free_vars) or not any(
+            equivalent_fixing_free(q, induced_substructure(q.structure, q.free_vars + rest))
+            for rest in combinations(q.quantified_vars, size - 1 - len(q.free_vars)))
+        shrunk += size < len(q.structure.domain)
+    assert variants == 100 and shrunk >= 30
+
+
+def smallest_core_budget(q):
+    """The least node budget under which core_of_query succeeds."""
+    low, high = 1, 1
+    while True:
+        try:
+            core_of_query.__wrapped__(q, HomSearchConfig(node_budget=high))
+            break
+        except ResourceBudgetError:
+            low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            core_of_query.__wrapped__(q, HomSearchConfig(node_budget=mid))
+            high = mid
+        except ResourceBudgetError:
+            low = mid + 1
+    return high
+
+
+def test_core_budgets_match_the_pinned_reference():
+    # The free variables' one-value domains stand in for pin relations, so
+    # every search call tries the same nodes: the least budget that cores
+    # a query is the same for both, and one node less fails in both.
+    rng = random.Random(9)
+    budgets = set()
+    for _ in range(300):
+        q = random_query(rng, max_vars=7, max_free=3, max_atoms=6)
+        if rng.random() < 0.5:
+            q = redundant_variant(rng, q)
+        if not q.quantified_vars:
+            continue
+        budget = smallest_core_budget(q)
+        enough = HomSearchConfig(node_budget=budget)
+        assert reference_core_of_query(q, enough) == core_of_query.__wrapped__(q, enough)
+        if budget > 1:
+            short = HomSearchConfig(node_budget=budget - 1)
+            for core in (core_of_query.__wrapped__, reference_core_of_query):
+                with pytest.raises(ResourceBudgetError):
+                    core(q, short)
+        budgets.add(budget)
+    assert len(budgets) >= 5
 
 
 def test_redundant_variant_does_not_depend_on_the_string_hash_seed():

@@ -149,8 +149,13 @@ def test_contract_examples():
     assert primal_graph(c).edges == frozenset(
         frozenset(p) for p in combinations(leaves, 2))
 
+    # without S-components the contract is the hypergraph itself, and an
+    # edge already within S is kept, not copied
     qf = shg("xy", [["x", "y"]], "xy")
-    assert contract(qf) == qf
+    assert contract(qf) is qf
+    hanging = shg("xab", [["x", "a"], ["a", "b"]], "ab")
+    within = next(e for e in hanging.edges if e == frozenset("ab"))
+    assert any(kept is within for kept in contract(hanging).edges)
 
     path = shg(["s1", "q", "s2"], [["s1", "q"], ["q", "s2"]], ["s1", "s2"])
     c = contract(path)
