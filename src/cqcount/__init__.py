@@ -61,11 +61,9 @@ from .structures import (
     RelationalStructure,
     Vocabulary,
     augment,
-    drop_relations,
     induced_substructure,
     pin_relation_names,
     star_structure,
-    strip_pin_relations,
     structure_from_dict,
     structure_to_dict,
 )
@@ -113,7 +111,6 @@ __all__ = [
     "count_quantifier_free_td",
     "count_star_via_oracle",
     "decompose",
-    "drop_relations",
     "enumerate_answers",
     "exact_treewidth",
     "find_extension",
@@ -136,7 +133,6 @@ __all__ = [
     "solve_vandermonde",
     "star_sizes",
     "star_structure",
-    "strip_pin_relations",
     "structure_from_dict",
     "structure_to_dict",
     "verify_decomposition",

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Commands: count, analyze, core, decide, reduce-demo, selftest. Exit codes:
-0 success, 1 input error, 2 resource budget exceeded. The environment
-variable CQCOUNT_BUDGET overrides the default search and enumeration
-budgets.
+0 success, 1 input or usage error, 2 resource budget exceeded. The
+environment variable CQCOUNT_BUDGET overrides the default search and
+enumeration budgets.
 """
 
 from __future__ import annotations
@@ -158,10 +158,17 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they exit 1 and never 2 (budget)."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cqcount",
         description="Count answers to conjunctive queries, exactly.",
     )
@@ -206,8 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

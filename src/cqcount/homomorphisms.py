@@ -109,10 +109,10 @@ class _HomSearch:
     root; ``feasible`` is False exactly when it empties a domain or a 0-ary
     constraint fails in the target.
 
-    Each tuple of pinned variables gets one plan, cached on the search. The
-    pinned variables come first and are set and checked together; the
-    others follow, smallest domain first, then by name. Without pins every
-    variable tries its whole domain, so cores search exactly as before. With
+    A search plans its variables per call, and brute-force answer counting
+    plans once per count. The pinned variables come first and are set and
+    checked together; the others follow, smallest domain first, then by
+    name. Without pins every variable tries its whole domain. With
     pins, a later variable takes its candidates from a support index of the
     constraint that covers the most variables already set: the values its
     rows allow the variable, given theirs, restricted to its domain.
@@ -144,10 +144,8 @@ class _HomSearch:
         self._settle(base)
 
     def _settle(self, base: dict) -> None:
-        # Fix the domains; plans are made on first use, one per pinned tuple.
         self.base = base
         self.base_sets = {v: set(dom) for v, dom in base.items()}
-        self._plans = {}
 
     def avoiding(self, value: str) -> _HomSearch:
         """This search with ``value`` removed from every domain.
@@ -212,8 +210,6 @@ class _HomSearch:
         return True
 
     def _plan(self, pinned: Tuple[str, ...]) -> _Plan:
-        if pinned in self._plans:
-            return self._plans[pinned]
         base = self.base
         rest = sorted(base, key=lambda v: (len(base[v]), v))
         if pinned:
@@ -236,10 +232,8 @@ class _HomSearch:
                 if before:
                     candidates, key = self._support_index(ci, v, sorted(before))
             steps.append((v, candidates, key, triggers[i]))
-        plan = self._plans[pinned] = _Plan(
-            pinned, [self.base_sets[v] for v in pinned],
-            [c for cs in triggers[:len(pinned)] for c in cs], steps)
-        return plan
+        return _Plan(pinned, [self.base_sets[v] for v in pinned],
+                     [c for cs in triggers[:len(pinned)] for c in cs], steps)
 
     def _support_index(self, ci: int, v: str, before: List[str]):
         """The values constraint ``ci`` allows ``v`` given those of ``before``.

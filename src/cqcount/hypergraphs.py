@@ -14,7 +14,8 @@ from typing import Dict, List, Tuple
 from .errors import InputError, ResourceBudgetError
 from .structures import ConjunctiveQuery
 
-DEFAULT_STAR_SIZE_CAP = 20
+# Most free vertices per S-component: bounds the independent-set recursion.
+STAR_SIZE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -157,28 +158,29 @@ def _max_independent_set(avail: frozenset, adj: Dict[str, set]) -> int:
     return max(with_v, without_v)
 
 
-def star_sizes(h: SHypergraph, cap: int = DEFAULT_STAR_SIZE_CAP) -> Tuple[int, int]:
+def star_sizes(h: SHypergraph) -> Tuple[int, int]:
     """(S-star size, strict S-star size) of the S-hypergraph.
 
     Per component, the strict size counts the free vertices in the closure;
     the plain size is the largest independent set among them, where two free
     vertices are adjacent iff a touched edge contains both. Both are 0 when
-    there are no S-components.
+    there are no S-components. A component touching more than
+    ``STAR_SIZE_CAP`` free vertices raises ResourceBudgetError.
     """
-    return _star_sizes(s_components(h), cap)
+    return _star_sizes(s_components(h))
 
 
-def _star_sizes(comps: List[SComponent], cap: int = DEFAULT_STAR_SIZE_CAP) -> Tuple[int, int]:
+def _star_sizes(comps: List[SComponent]) -> Tuple[int, int]:
     """``star_sizes`` of the hypergraph whose S-components are ``comps``."""
     star = 0
     strict = 0
     for comp in comps:
         free_here = comp.free_scope
         strict = max(strict, len(free_here))
-        if len(free_here) > cap:
+        if len(free_here) > STAR_SIZE_CAP:
             raise ResourceBudgetError(
                 f"component touches {len(free_here)} free vertices; the exact "
-                f"independent-set computation is capped at {cap}"
+                f"independent-set computation is capped at {STAR_SIZE_CAP}"
             )
         adj = {v: set() for v in free_here}
         for e in comp.touched_edges:

@@ -129,16 +129,12 @@ def parse_query(text: str) -> ConjunctiveQuery:
             toks.take(",")
             head_vars.append(toks.take_name("a variable"))
     toks.take(")")
-    if len(set(head_vars)) != len(head_vars):
-        raise InputError("head variables must not repeat")
     toks.take(":-")
     atoms: List[Tuple[str, Tuple[str, ...]]] = []
     while True:
         name = toks.take_name("a relation name")
         if name == HEAD_NAME:
             raise InputError(f"{HEAD_NAME!r} cannot be used as a body relation")
-        if name.startswith(RESERVED_PREFIX):
-            raise InputError(f"relation names may not start with {RESERVED_PREFIX!r}")
         toks.take("(")
         args = [toks.take_name("a variable")]
         while toks.peek() == ",":
@@ -212,17 +208,13 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("relations"), dict):
         raise InputError(f'{path} must be a JSON object with a "relations" object')
-    for name, body in data["relations"].items():
+    structure = structure_from_dict(data)
+    for name, arity in structure.vocabulary.symbols.items():
         if name.startswith(RESERVED_PREFIX):
             raise InputError(f"relation names may not start with {RESERVED_PREFIX!r}")
-        if not isinstance(body, dict):
-            raise InputError(f"relation {name!r} must be an object")
-        arity = body.get("arity")
-        if isinstance(arity, bool) or not isinstance(arity, int) or not 1 <= arity <= DEFAULT_ARITY_CAP:
+        if not 1 <= arity <= DEFAULT_ARITY_CAP:
             raise InputError(
-                f"relation {name!r} needs an integer arity between 1 and {DEFAULT_ARITY_CAP}"
-            )
-    structure = structure_from_dict(data)
+                f"relation {name!r} has arity {arity}, outside 1..{DEFAULT_ARITY_CAP}")
     for name, body in data["relations"].items():
         kept = len(structure.tuples(name))
         dupes = len(body["tuples"]) - kept

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .cores import is_core
+from .cores import core_of_query
 from .counting import _atom_factor, _join, _key_getter
 from .errors import InputError, InternalError, ResourceBudgetError
 from .homomorphisms import (
@@ -47,7 +47,6 @@ from .structures import (
     ConjunctiveQuery,
     RelationalStructure,
     Vocabulary,
-    augment,
     pin_relation_names,
 )
 
@@ -143,35 +142,27 @@ def blowup(dstruct: PairDomainStructure, t_subset: Sequence[str],
 def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> List[int]:
     """Solve sum_i nodes[r]^i * x_i = rhs[r] exactly; results must be integers.
 
-    Elimination runs over rationals; a non-integer solution component means
-    the right-hand sides were not consistent counts, which is a bug in the
-    caller, not in the input data.
+    Björck–Pereyra over rationals in O(n^2): Newton divided differences of
+    the points (nodes[r], rhs[r]), then expansion into monomial coefficients.
+    A non-integer x_i means the right-hand sides were not consistent counts,
+    which is a bug in the caller, not in the input data.
     """
     n = len(nodes)
     if len(rhs) != n:
         raise InputError("nodes and right-hand sides must have equal length")
     if len(set(nodes)) != n:
         raise InputError("interpolation nodes must be distinct")
-    matrix = [[Fraction(node) ** i for i in range(n)] + [Fraction(rhs[r])]
-              for r, node in enumerate(nodes)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if matrix[r][col] != 0), None)
-        if pivot is None:
-            raise InputError("interpolation matrix is singular")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        inv = 1 / matrix[col][col]
-        matrix[col] = [x * inv for x in matrix[col]]
-        for r in range(n):
-            if r != col and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[col])]
-    out = []
-    for r in range(n):
-        value = matrix[r][n]
+    c = [Fraction(y) for y in rhs]
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - k])
+    for k in range(n - 2, -1, -1):
+        for i in range(k, n - 1):
+            c[i] -= nodes[k] * c[i + 1]
+    for value in c:
         if value.denominator != 1:
             raise InternalError(f"non-integral interpolation solution {value}")
-        out.append(int(value))
-    return out
+    return [int(value) for value in c]
 
 
 def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
@@ -179,11 +170,11 @@ def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
                           cfg: HomSearchConfig = DEFAULT_CONFIG) -> int:
     """|hom(A*, B, S)| using only counts of the unpinned query.
 
-    ``q`` must have a pinned structure that is a core (checked); ``b`` must
-    interpret the base vocabulary and every pin relation. The oracle is any
-    procedure returning exact |hom(A, ., S)| counts.
+    ``q`` must be its own core with its free variables fixed (checked); ``b``
+    must interpret the base vocabulary and every pin relation. The oracle is
+    any procedure returning exact |hom(A, ., S)| counts.
     """
-    if not is_core(augment(q), cfg):
+    if core_of_query(q, cfg) != q:
         raise InputError("the pinned (augmented) query structure must be a core")
     dstruct = pair_structure(q.structure, b)
     auto = free_automorphism_set(q, cfg)

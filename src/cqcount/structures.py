@@ -18,7 +18,6 @@ silently collapsed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
@@ -32,7 +31,6 @@ from .errors import InputError
 # carries such names.
 RESERVED_PREFIX = "__"
 PIN_PREFIX_BASE = "__aug"
-_PIN_NAME_RE = re.compile(r"^__aug\d*_")
 
 # A (partial) map from query variables to target elements.
 Assignment = Dict[str, str]
@@ -119,9 +117,6 @@ class RelationalStructure:
     def tuples(self, name: str) -> frozenset:
         return self.relations.get(name, frozenset())
 
-    def total_tuples(self) -> int:
-        return sum(len(ts) for ts in self.relations.values())
-
     def atoms(self) -> list:
         """All (symbol, tuple) pairs in canonical (sorted) order."""
         return [
@@ -193,14 +188,14 @@ def pin_relation_names(a: RelationalStructure) -> Dict[str, str]:
     return _pin_names(a.vocabulary, a.domain)
 
 
-def _with_pins(a: RelationalStructure, elements: Tuple[str, ...]):
+def _with_pins(a: RelationalStructure, elements: Tuple[str, ...]) -> RelationalStructure:
     names = _pin_names(a.vocabulary, elements)
     symbols = dict(a.vocabulary.symbols)
     rels = dict(a.relations)
     for e in elements:
         symbols[names[e]] = 1
         rels[names[e]] = frozenset({(e,)})
-    return RelationalStructure(Vocabulary(symbols), a.domain, rels), names
+    return RelationalStructure(Vocabulary(symbols), a.domain, rels)
 
 
 def augment(q: ConjunctiveQuery) -> RelationalStructure:
@@ -210,7 +205,7 @@ def augment(q: ConjunctiveQuery) -> RelationalStructure:
     any homomorphism out of the result must fix ``a``. With an empty free
     tuple this returns the structure unchanged.
     """
-    return _with_pins(q.structure, q.free_vars)[0]
+    return _with_pins(q.structure, q.free_vars)
 
 
 def star_structure(a: RelationalStructure) -> RelationalStructure:
@@ -219,23 +214,7 @@ def star_structure(a: RelationalStructure) -> RelationalStructure:
     For a quantifier-free query this coincides with ``augment``, name for
     name.
     """
-    return _with_pins(a, a.domain)[0]
-
-
-def drop_relations(a: RelationalStructure, names: Iterable) -> RelationalStructure:
-    """Remove the given relation symbols (and their tuples) outright."""
-    gone = set(names)
-    unknown = sorted(gone - set(a.vocabulary.symbols))
-    if unknown:
-        raise InputError(f"cannot drop unknown relations {unknown!r}")
-    symbols = {n: r for n, r in a.vocabulary.symbols.items() if n not in gone}
-    rels = {n: ts for n, ts in a.relations.items() if n not in gone}
-    return RelationalStructure(Vocabulary(symbols), a.domain, rels)
-
-
-def strip_pin_relations(a: RelationalStructure) -> RelationalStructure:
-    """Drop every pinning relation added by augment / star_structure."""
-    return drop_relations(a, [n for n in a.vocabulary.symbols if _PIN_NAME_RE.match(n)])
+    return _with_pins(a, a.domain)
 
 
 def structure_to_dict(a: RelationalStructure) -> dict:

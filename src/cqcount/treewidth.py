@@ -55,7 +55,7 @@ def _require_graph(obj: Graph) -> Graph:
     raise InputError(f"expected a Graph, got {type(obj).__name__}")
 
 
-def _exact_elimination(g: Graph, limit: int) -> Tuple[List[str], int]:
+def _exact_elimination(g: Graph) -> Tuple[List[str], int]:
     """An elimination order whose worst degree equals the treewidth.
 
     f(S) = best-possible worst degree over orders eliminating exactly S
@@ -66,8 +66,6 @@ def _exact_elimination(g: Graph, limit: int) -> Tuple[List[str], int]:
     """
     vs = list(g.vertices)
     n = len(vs)
-    if n > limit:
-        raise InputError(f"exact treewidth handles at most {limit} vertices, got {n}")
     if n == 0:
         return [], -1
     index = {v: i for i, v in enumerate(vs)}
@@ -117,9 +115,14 @@ def _exact_elimination(g: Graph, limit: int) -> Tuple[List[str], int]:
     return order_last_first[::-1], f[size - 1]
 
 
-def exact_treewidth(obj: Graph, limit: int = DEFAULT_EXACT_THRESHOLD) -> int:
-    """The exact treewidth, by subset dynamic programming."""
-    return _exact_elimination(_require_graph(obj), limit)[1]
+def exact_treewidth(obj: Graph) -> int:
+    """The exact treewidth, by subset DP over at most 16 vertices."""
+    g = _require_graph(obj)
+    n = len(g.vertices)
+    if n > DEFAULT_EXACT_THRESHOLD:
+        raise InputError(
+            f"exact treewidth handles at most {DEFAULT_EXACT_THRESHOLD} vertices, got {n}")
+    return _exact_elimination(g)[1]
 
 
 def _fill_in(adjacency: Dict[str, set], v: str) -> int:
@@ -241,7 +244,7 @@ def decompose(obj: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Tre
         if _minor_min_width(g) == td.width:
             td = replace(td, exactness=EXACT)
         else:
-            order, _ = _exact_elimination(g, exact_threshold)
+            order, _ = _exact_elimination(g)
             td = decomposition_from_order(g, order, EXACT)
     verify_decomposition(g, td)
     return td

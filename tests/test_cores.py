@@ -19,7 +19,6 @@ from cqcount import (
     core_of_structure,
     count_answers,
     count_answers_brute,
-    drop_relations,
     find_extension,
     hom_equivalent,
     induced_substructure,
@@ -198,9 +197,9 @@ def reference_shrink(a, cfg, candidates):
 def reference_core_of_query(q, cfg):
     if not q.quantified_vars:
         return q
-    pinned, names = _with_pins(q.structure, q.free_vars)
+    pinned = _with_pins(q.structure, q.free_vars)
     core = reference_shrink(pinned, cfg, sorted(q.quantified_vars))
-    return ConjunctiveQuery(drop_relations(core, names.values()), q.free_vars)
+    return ConjunctiveQuery(induced_substructure(q.structure, core.domain), q.free_vars)
 
 
 def naive_arc_consistent_domains(src, dst):

@@ -501,6 +501,7 @@ def test_count_answers_matches_the_replayed_pipeline():
 
 
 @pytest.mark.parametrize("config, field, value", [
+    (CountingConfig, "mode", "fast"),
     (CountingConfig, "width_cap", True),
     (CountingConfig, "brute_cap", 0.5),
     (CountingConfig, "brute_cap", 0),

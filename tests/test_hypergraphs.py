@@ -6,6 +6,8 @@ from conftest import digraph, structure
 
 from cqcount import (
     ConjunctiveQuery,
+    Graph,
+    InputError,
     ResourceBudgetError,
     SHypergraph,
     contract,
@@ -21,6 +23,20 @@ from cqcount.generators import random_query
 def shg(vertices, edges, s):
     return SHypergraph(tuple(vertices), frozenset(frozenset(e) for e in edges),
                        frozenset(s))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: shg("ab", [[]], "a"), "non-empty"),
+    (lambda: shg("ab", [["a", "z"]], "a"), "unknown vertices"),
+    (lambda: shg("ab", [["a", "b"]], "az"), "subset of the vertices"),
+    (lambda: Graph(("a", "b"), frozenset({frozenset("az")})), "unknown vertices"),
+    (lambda: Graph(("a", "b"), frozenset({frozenset("a")})), "two distinct vertices"),
+    (lambda: Graph(tuple("abc"), frozenset({frozenset("abc")})), "two distinct vertices"),
+], ids=["empty-edge", "unknown-vertex", "s-outside", "graph-unknown-vertex",
+        "graph-loop", "graph-triple"])
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
 
 
 def test_hypergraph_of_examples():
@@ -134,10 +150,13 @@ def test_star_size_against_subset_oracle():
 
 
 def test_star_size_cap():
-    leaves = [f"s{i}" for i in range(5)]
-    h = shg(["c"] + leaves, [["c", s] for s in leaves], leaves)
-    with pytest.raises(ResourceBudgetError):
-        star_sizes(h, cap=4)
+    def star(n):
+        leaves = [f"s{i}" for i in range(n)]
+        return shg(["c"] + leaves, [["c", s] for s in leaves], leaves)
+
+    assert star_sizes(star(20)) == (20, 20)
+    with pytest.raises(ResourceBudgetError, match="capped at 20"):
+        star_sizes(star(21))
 
 
 def test_contract_examples():

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from cqcount import InputError, load_database, parse_query, render_query, structure_to_dict
+from cqcount import (
+    ConjunctiveQuery,
+    InputError,
+    RelationalStructure,
+    Vocabulary,
+    load_database,
+    parse_query,
+    render_query,
+    structure_to_dict,
+)
+from cqcount import cli
 from cqcount.cli import _build_parser, main
 from cqcount.generators import clique_graph, random_query
 from cqcount.parsing import DatabaseWarning, QueryWarning
@@ -64,6 +74,11 @@ def test_parse_semantic_errors():
         parse_query("answer(x,x) :- E(x,y).")
     with pytest.raises(InputError, match="answer"):
         parse_query("answer(x) :- answer(x).")
+    with pytest.raises(InputError, match="must start with 'answer'"):
+        parse_query("query(x) :- E(x,y).")
+    # names start with a letter, so the reserved "__" prefix cannot parse
+    with pytest.raises(InputError, match="unexpected character '_'"):
+        parse_query("answer(x) :- __E(x,y).")
     with pytest.raises(InputError):
         parse_query("answer(x) :- E(x), F(y), E(x,y).")
     with pytest.raises(InputError, match=r"arity 9, outside 1\.\.8"):
@@ -88,6 +103,10 @@ def test_render_round_trip():
     for text in texts:
         q = parse_query(text)
         assert parse_query(render_query(q)) == q
+    # only 0-ary atoms, or none: nothing the grammar can write
+    bare = RelationalStructure(Vocabulary({"E": 2, "T": 0}), ("x",), {"T": {()}})
+    with pytest.raises(InputError, match="without atoms"):
+        render_query(ConjunctiveQuery(bare, ("x",)))
 
 
 @pytest.mark.filterwarnings("ignore::cqcount.parsing.QueryWarning")
@@ -96,7 +115,7 @@ def test_render_round_trip_random():
     seen = 0
     while seen < 40:
         q = random_query(rng, max_vars=5, max_free=3)
-        if q.structure.total_tuples() == 0:
+        if not q.structure.atoms():
             continue
         isolated = set(q.structure.domain) - {
             v for _, t in q.structure.atoms() for v in t} - set(q.free_vars)
@@ -243,20 +262,24 @@ def test_cli_reduce_demo(capsys):
     assert lines[2] == "AGREE"
 
 
-def test_cli_selftest(capsys):
+def test_cli_selftest(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest", "--trials", "25", "--seed", "5")
     assert code == 0
     assert "25 structural-vs-brute cross-checks, 0 failure(s)" in out
+    # a counter that is always wrong: every trial mismatches
+    monkeypatch.setattr(cli, "count_answers", lambda q, b, cfg: -1)
+    code, out, err = run_cli(capsys, "selftest", "--trials", "3", "--seed", "5")
+    assert code == 1
+    assert "3 structural-vs-brute cross-checks, 3 failure(s)" in out
+    assert err.count("MISMATCH on trial") == 3
 
 
 @pytest.mark.parametrize("trials", ["-3", "0", "x"])
 def test_cli_selftest_rejects_non_positive_trials(trials, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["selftest", "--trials", trials])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert "--trials" in captured.err
-    assert "cross-checks" not in captured.out
+    code, out, err = run_cli(capsys, "selftest", "--trials", trials)
+    assert code == 1
+    assert err.startswith("error: argument --trials")
+    assert "cross-checks" not in out
 
 
 @pytest.mark.parametrize("bounds", [("-1", "0"), ("0", "3"), ("3", "0")])
@@ -279,10 +302,7 @@ def test_cli_parser_is_built_once_and_reused(capsys):
     ]
 
     def outcome(argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -294,7 +314,7 @@ def test_cli_parser_is_built_once_and_reused(capsys):
         _build_parser.cache_clear()
         fresh.append(outcome(argv))
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0]
     assert shared[0][1] == shared[3][1] == "3\n"
     assert "the following arguments are required: --query" in shared[1][2]
     assert json.loads(shared[2][1])["case_label"] == "I_tractable"
@@ -372,11 +392,13 @@ def test_cli_budget_env_resource_exit(capsys, monkeypatch):
     assert code == 2
     assert "budget" in err.lower()
 
-    monkeypatch.setenv("CQCOUNT_BUDGET", "banana")
-    code, _, _ = run_cli(
-        capsys, "count", "--db", str(DATA / "triangle.json"),
-        "--query", str(DATA / "edge.query"))
-    assert code == 1
+    for raw, message in (("banana", "must be an integer"), ("0", "must be positive")):
+        monkeypatch.setenv("CQCOUNT_BUDGET", raw)
+        code, out, err = run_cli(
+            capsys, "count", "--db", str(DATA / "triangle.json"),
+            "--query", str(DATA / "edge.query"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: CQCOUNT_BUDGET {message}")
 
 
 @pytest.mark.parametrize("argv", [["decide"], ["count", "--mode", "brute"]])

@@ -19,6 +19,7 @@ from cqcount import (
     count_answers_brute,
     count_star_via_oracle,
     CountingConfig,
+    core_of_query,
     enumerate_answers,
     free_automorphism_set,
     hypergraph_of,
@@ -35,6 +36,7 @@ from cqcount.generators import (
     random_query,
     random_structure,
     random_vocabulary,
+    redundant_variant,
 )
 
 
@@ -57,8 +59,6 @@ def starred_query(q):
 
 
 def random_core_query_with_target(rng, max_free=3, full_pins=False):
-    from cqcount import core_of_query
-
     q, b = random_instance(rng, max_vars=4, max_free=max_free, max_atoms=3,
                            max_target=3)
     core = core_of_query(q)
@@ -151,6 +151,37 @@ def test_solve_vandermonde_derived():
     assert solve_vandermonde([1, 2, 3], rhs) == target
 
 
+def test_solve_vandermonde_random_systems():
+    # Arbitrary distinct integer nodes. Adding 1 to rhs[r] adds the Lagrange
+    # polynomial L_r, whose leading coefficient is 1 / prod_{j != r}(x_r - x_j),
+    # so the result stays integral exactly when that product is +-1.
+    def value(cs, x):
+        return sum(c * x ** i for i, c in enumerate(cs))
+
+    rng = random.Random(63)
+    inconsistent = 0
+    for _ in range(1200):
+        n = rng.randint(1, 6)
+        nodes = rng.sample(range(-25, 26), n)
+        coef = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        rhs = [value(coef, x) for x in nodes]
+        assert solve_vandermonde(nodes, rhs) == coef
+        r = rng.randrange(n)
+        denominator = 1
+        for j, x in enumerate(nodes):
+            if j != r:
+                denominator *= nodes[r] - x
+        rhs[r] += 1
+        if abs(denominator) == 1:
+            got = solve_vandermonde(nodes, rhs)
+            assert [value(got, x) for x in nodes] == rhs
+        else:
+            inconsistent += 1
+            with pytest.raises(InternalError):
+                solve_vandermonde(nodes, rhs)
+    assert inconsistent >= 900
+
+
 def test_solve_vandermonde_errors():
     with pytest.raises(InputError):
         solve_vandermonde([1, 1], [0, 0])
@@ -236,6 +267,10 @@ def test_count_star_via_oracle_boolean():
     blocked = with_pins(rng, q.structure, digraph("uv", []), full=True)
     assert count_star_via_oracle(q, blocked, oracle) == 0
 
+    for wrong in (1.5, True, "1"):
+        with pytest.raises(InputError, match="exact integer"):
+            count_star_via_oracle(q, b, lambda right: wrong)
+
 
 def test_count_star_via_oracle_single_edge_unrestricted():
     q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x", "y"))
@@ -270,6 +305,24 @@ def test_count_star_requires_core():
     bstar = with_pins(rng, a, digraph("uv", [("u", "v")]), full=True)
     with pytest.raises(InputError):
         count_star_via_oracle(q, bstar, lambda right: 0)
+
+    # Seeded queries made redundant: each one that is not its own core is
+    # refused, and its core is accepted.
+    refused = 0
+    for _ in range(40):
+        q, b = random_instance(rng, max_vars=4, max_free=2, max_atoms=3, max_target=3)
+        q = redundant_variant(rng, q)
+        core = core_of_query(q)
+        bstar = with_pins(rng, q.structure, b, full=True)
+        if core != q:
+            refused += 1
+            with pytest.raises(InputError, match="must be a core"):
+                count_star_via_oracle(q, bstar, lambda right: 0)
+        cstar = with_pins(rng, core.structure, b, full=True)
+        oracle = lambda right, core=core: count_answers_brute(core, right)
+        assert count_star_via_oracle(core, cstar, oracle) == count_answers_brute(
+            starred_query(core), cstar)
+    assert refused >= 20
 
 
 def generic_contract_instance(rng, target_h, n_values=3, density=0.7):

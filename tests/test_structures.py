@@ -9,11 +9,9 @@ from cqcount import (
     RelationalStructure,
     Vocabulary,
     augment,
-    drop_relations,
     induced_substructure,
     pin_relation_names,
     star_structure,
-    strip_pin_relations,
     structure_from_dict,
     structure_to_dict,
 )
@@ -165,20 +163,6 @@ def test_pin_names_avoid_collisions():
     assert starred.tuples(names["x"]) == frozenset({("x",)})
 
 
-def test_strip_pins_restores_vocabulary():
-    q = ConjunctiveQuery(digraph("xyz", [("x", "y"), ("y", "z")]), ("x", "z"))
-    pinned = augment(q)
-    stripped = strip_pin_relations(pinned)
-    assert stripped.vocabulary == q.structure.vocabulary
-    assert stripped == q.structure
-
-
-def test_drop_relations_unknown():
-    a = digraph("xy", [("x", "y")])
-    with pytest.raises(InputError):
-        drop_relations(a, ["F"])
-
-
 def test_serialization_round_trip_examples():
     a = digraph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
     assert structure_from_dict(structure_to_dict(a)) == a
@@ -200,6 +184,13 @@ def test_structure_from_dict_validation():
         structure_from_dict({"relations": {"E": {"arity": 2}}})
     with pytest.raises(InputError):
         structure_from_dict({"relations": {"E": {"arity": 2, "tuples": [["a"]]}}})
+    with pytest.raises(InputError, match='"relations" object'):
+        structure_from_dict({"relations": []})
+    for domain in ("ab", ["a", 1]):
+        with pytest.raises(InputError, match='"domain" must be a list of strings'):
+            structure_from_dict({"domain": domain, "relations": {}})
+    with pytest.raises(InputError, match='"tuples" of \'E\' must be a list'):
+        structure_from_dict({"relations": {"E": {"arity": 1, "tuples": "ab"}}})
     for arity in ("2", True, 2.0, None, -1):
         with pytest.raises(InputError, match="arity of 'E'"):
             structure_from_dict({"relations": {"E": {"arity": arity, "tuples": []}}})

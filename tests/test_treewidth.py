@@ -163,6 +163,23 @@ def test_verify_mutations():
     with pytest.raises(DecompositionError, match="width"):
         verify_decomposition(g, wrong)
 
+    # no bags; a tree edge out of range; a cycle beside an isolated bag
+    with pytest.raises(DecompositionError, match="no bags"):
+        verify_decomposition(g, TreeDecomposition((), frozenset(), -1, EXACT))
+    far = TreeDecomposition(td.bags, frozenset({(0, len(td.bags))}), td.width, EXACT)
+    with pytest.raises(DecompositionError, match="bad tree edge"):
+        verify_decomposition(g, far)
+    cycle = TreeDecomposition(bags, frozenset({(0, 1), (1, 2), (0, 2)}), 1, EXACT)
+    with pytest.raises(DecompositionError, match="not connected"):
+        verify_decomposition(chain, cycle)
+
+    # a bag vertex outside the graph; a graph vertex in no bag
+    alien = TreeDecomposition((frozenset("abz"),), frozenset(), 2, EXACT)
+    with pytest.raises(DecompositionError, match="unknown vertices"):
+        verify_decomposition(g, alien)
+    with pytest.raises(DecompositionError, match="vertex 'd' uncovered"):
+        verify_decomposition(graph("abcd", [("a", "b"), ("b", "c")]), td)
+
 
 def test_decomposition_from_order_disconnected():
     g = graph("abcd", [("a", "b"), ("c", "d")])
