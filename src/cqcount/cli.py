@@ -15,7 +15,6 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .cores import core_of_query
 from .counting import (
@@ -47,26 +46,19 @@ from .structures import (
 BUDGET_ENV = "CQCOUNT_BUDGET"
 
 
-def _budget() -> Optional[int]:
+def _configs(mode: str = MODE_AUTO) -> CountingConfig:
+    """The counting configuration; CQCOUNT_BUDGET, when set, gives both budgets."""
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
-        return None
+        return CountingConfig(mode=mode)
     try:
-        value = int(raw)
+        budget = int(raw)
     except ValueError:
         raise InputError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if value <= 0:
+    if budget <= 0:
         raise InputError(f"{BUDGET_ENV} must be positive")
-    return value
-
-
-def _configs(mode: str = MODE_AUTO):
-    budget = _budget()
-    if budget is None:
-        hom = HomSearchConfig()
-        return CountingConfig(mode=mode, hom=hom)
     hom = HomSearchConfig(node_budget=budget, enumeration_cap=budget)
-    return CountingConfig(mode=mode, brute_cap=budget, hom=hom)
+    return CountingConfig(mode=mode, hom=hom)
 
 
 def _positive_int(text: str) -> int:
@@ -90,7 +82,15 @@ def _load_query(path: str) -> ConjunctiveQuery:
 def _cmd_count(args) -> int:
     db = load_database(args.db)
     q = _load_query(args.query)
-    print(count_answers(q, db, _configs(args.mode)))
+    count = count_answers(q, db, _configs(args.mode))
+    # From Python 3.10.7 on, str() refuses ints of over 4300 digits by default.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        print(count)
+    finally:
+        set_limit(limit)
     return 0
 
 

@@ -27,20 +27,19 @@ relation (``augment``) and coring the pinned structure.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .errors import InputError
 from .homomorphisms import DEFAULT_CONFIG, HomSearchConfig, _HomSearch
 from .structures import ConjunctiveQuery, RelationalStructure
 
 
 def _find_retraction(atoms: list, domain: Sequence[str], relations: Mapping[str, frozenset],
                      start: Mapping[str, list], cfg: HomSearchConfig,
-                     element_order: Sequence[str]):
-    if not element_order:
+                     candidates: Sequence[str]):
+    if not candidates:
         return None
     search = _HomSearch(atoms, domain, relations, domain, start, cfg)
-    for v in element_order:
+    for v in candidates:
         h = next(search.avoiding(v).solutions(), None)
         if h is not None:
             return h
@@ -79,18 +78,13 @@ def _shrink(a: RelationalStructure, cfg: HomSearchConfig, candidates: Sequence[s
 
 
 def core_of_structure(a: RelationalStructure,
-                      cfg: HomSearchConfig = DEFAULT_CONFIG,
-                      element_order: Optional[Sequence[str]] = None) -> RelationalStructure:
+                      cfg: HomSearchConfig = DEFAULT_CONFIG) -> RelationalStructure:
     """A core of ``a``: an induced substructure, hom-equivalent and minimal.
 
-    Deterministic for the default order; ``element_order`` overrides the
-    order in which deletion candidates are tried (any order yields an
-    isomorphic result, which the tests exercise).
+    Deletion candidates are tried in sorted order, so the result is
+    deterministic; any order would give an isomorphic core.
     """
-    if element_order is not None:
-        if sorted(element_order) != sorted(a.domain):
-            raise InputError("element_order must enumerate the domain exactly")
-    return _shrink(a, cfg, element_order or sorted(a.domain))
+    return _shrink(a, cfg, sorted(a.domain))
 
 
 # Query cores kept for reuse, least recently used evicted first. Counting

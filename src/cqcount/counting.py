@@ -13,21 +13,22 @@ largest table and next joins the table adding the fewest new variables,
 and the starting table, each intermediate product and the summed message
 absorb every pending table whose variables they cover. A bucket holding
 one table is summed out in one pass, and atoms of one relation with
-distinct variables share one table; no table is modified once built.
+distinct variables share one table; no table is modified once built. An
+instance whose contract is wider than ``CountingConfig.width_cap`` is
+counted by brute force in auto mode, and refused in structural mode.
 
 What counting and classifying read of the query alone is worked out once
 per query and kept: the core, its S-hypergraph, each S-component's scope
 and the bare sorted atoms and domain of its induced subquery, the core
 atoms over free variables only, the contract graph (sharing the
 hypergraph's all-free edges), its decomposition and the elimination order
-along it. The
-last 256 such analyses are memoised by (query value, search budgets,
-exact-treewidth threshold); the core's own decomposition and its star
-sizes, which only the classifier reads, join an analysis on its first
-classification. Nothing that reads the database is cached: a count builds
-its tables straight from the target's tuple sets, and each component's
-search straight from its kept atoms, with no contracted structure or
-subquery in between.
+along it. The last 256 such analyses are memoised by (query value,
+search budgets); the core's own decomposition and its star sizes, which
+only the classifier reads, join an analysis on its first classification.
+Nothing that reads the database is cached: a count builds its tables
+straight from the target's tuple sets, and each component's search
+straight from its kept atoms, with no contracted structure or subquery
+in between.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import core_of_query
 from .errors import InputError, ResourceBudgetError
@@ -88,24 +89,28 @@ ANALYSIS_CACHE_SIZE = 256
 
 @dataclass(frozen=True)
 class CountingConfig:
-    """Caps and mode selection for count_answers.
+    """Mode selection and search budgets for count_answers.
 
-    A component projection is bounded by ``hom.enumeration_cap`` alone,
-    like brute-force counting.
+    ``hom.enumeration_cap`` bounds each component projection and every
+    brute-force count, whether ``mode`` is brute or auto falls back past
+    ``width_cap``. ``width_cap`` and ``exact_tw_threshold`` are fixed, and
+    ``brute_cap`` reads ``hom.enumeration_cap``; perfbench's traced replay
+    reads all three.
     """
 
+    width_cap: ClassVar[int] = 8
+    exact_tw_threshold: ClassVar[int] = DEFAULT_EXACT_THRESHOLD
+
     mode: str = MODE_AUTO
-    brute_cap: int = 10_000_000
-    width_cap: int = 8
-    exact_tw_threshold: int = DEFAULT_EXACT_THRESHOLD
     hom: HomSearchConfig = field(default_factory=HomSearchConfig)
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_AUTO, MODE_BRUTE, MODE_STRUCTURAL):
             raise InputError(f"unknown counting mode {self.mode!r}")
-        _check_int("brute_cap", self.brute_cap, 1)
-        _check_int("width_cap", self.width_cap, 1)
-        _check_int("exact_tw_threshold", self.exact_tw_threshold, 0)
+
+    @property
+    def brute_cap(self) -> int:
+        return self.hom.enumeration_cap
 
 
 DEFAULT_COUNTING_CONFIG = CountingConfig()
@@ -446,10 +451,9 @@ class _Analysis:
     computed on first use, so a count never pays for them.
     """
 
-    def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig, threshold: int):
+    def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig):
         self.core = core_of_query(q, hom)
         self.hypergraph = hypergraph_of(self.core)
-        self.threshold = threshold
         self._comps = s_components(self.hypergraph)
         atoms = self.core.structure.atoms()
         self.components = tuple(_bare_subquery(atoms, self.core.structure.domain, comp)
@@ -461,12 +465,12 @@ class _Analysis:
             if (kept := tuple(t for t in ts if free.issuperset(t)))
         )
         self.contract_graph = _contract(self.hypergraph, self._comps)
-        self.contract_td = decompose(primal_graph(self.contract_graph), threshold)
+        self.contract_td = decompose(primal_graph(self.contract_graph))
         self.order = _elimination_order(self.contract_td)
 
     @cached_property
     def core_td(self) -> TreeDecomposition:
-        return decompose(primal_graph(self.hypergraph), self.threshold)
+        return decompose(primal_graph(self.hypergraph))
 
     @cached_property
     def star_sizes(self) -> Tuple[int, int]:
@@ -474,12 +478,12 @@ class _Analysis:
 
 
 @lru_cache(maxsize=ANALYSIS_CACHE_SIZE)
-def _analyse(q: ConjunctiveQuery, hom: HomSearchConfig, threshold: int) -> _Analysis:
-    """The analysis of ``q``, memoised by (query value, ``hom``, ``threshold``).
+def _analyse(q: ConjunctiveQuery, hom: HomSearchConfig) -> _Analysis:
+    """The analysis of ``q``, memoised by (query value, ``hom``).
 
     A budget error raised while it is built is not remembered.
     """
-    return _Analysis(q, hom, threshold)
+    return _Analysis(q, hom)
 
 
 def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
@@ -487,9 +491,10 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
     """Exact |hom(A, B, S)| via the configured strategy.
 
     brute enumerates assignments; structural runs core -> contract -> tree
-    DP; auto prefers structural when the contracted width fits the cap and
-    falls back to brute while it stays within its cap. All modes agree
-    whenever they run to completion.
+    DP, and refuses a contract wider than ``width_cap``; auto counts such a
+    contract by brute force instead. A brute-force count, like each
+    component projection, refuses more than ``cfg.hom.enumeration_cap``
+    candidate tuples. All modes agree whenever they run to completion.
 
     The query's analysis (core, components, contract graph, decomposition
     and elimination order) is memoised and shared with ``classify``;
@@ -497,23 +502,17 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
     0 before later components are projected.
     """
     check_vocabulary(q.structure, dst)
-    if cfg.mode == MODE_BRUTE:
-        return count_answers_brute(q, dst, cfg.hom)
-    analysis = _analyse(q, cfg.hom, cfg.exact_tw_threshold)
-    td = analysis.contract_td
-    if td.width > cfg.width_cap:
+    if cfg.mode != MODE_BRUTE:
+        analysis = _analyse(q, cfg.hom)
+        width = analysis.contract_td.width
+        if width <= cfg.width_cap:
+            projections = (_projection(comp, dst, cfg.hom) for comp in analysis.components)
+            factors = chain(_relation_factors(analysis.free_atoms, dst), projections)
+            return _sum_product(factors, analysis.order, len(dst.domain))
         if cfg.mode == MODE_STRUCTURAL:
             raise ResourceBudgetError(
-                f"contracted instance has width {td.width}, cap is {cfg.width_cap}"
-            )
-        if len(dst.domain) ** len(q.free_vars) <= cfg.brute_cap:
-            return count_answers_brute(q, dst, cfg.hom)
-        raise ResourceBudgetError(
-            "instance exceeds both the width cap and the brute-force cap"
-        )
-    projections = (_projection(comp, dst, cfg.hom) for comp in analysis.components)
-    factors = chain(_relation_factors(analysis.free_atoms, dst), projections)
-    return _sum_product(factors, analysis.order, len(dst.domain))
+                f"contracted instance has width {width}, cap is {cfg.width_cap}")
+    return count_answers_brute(q, dst, cfg.hom)
 
 
 @dataclass(frozen=True)
@@ -565,16 +564,15 @@ def classify(q: ConjunctiveQuery, k_core: int = 3, k_contract: int = 3,
     A width strictly below its bound counts as bounded: case I when both
     widths stay below, case III when the contract width reaches its bound,
     case II otherwise (core width reaches its bound, contract stays below).
-    Labels are advisory when a width is only an upper bound. Bounds below
-    1 are rejected with InputError.
+    Labels are advisory when a width is only an upper bound. A bound that
+    is not an integer of at least 1 is rejected with InputError.
 
     It reads the analysis ``count_answers`` memoises, and keeps the core's
     decomposition and star sizes with it on first use.
     """
-    if k_core < 1 or k_contract < 1:
-        raise InputError(f"width bounds must be at least 1, got k_core={k_core}, "
-                         f"k_contract={k_contract}")
-    analysis = _analyse(q, cfg.hom, cfg.exact_tw_threshold)
+    _check_int("k_core", k_core, 1)
+    _check_int("k_contract", k_contract, 1)
+    analysis = _analyse(q, cfg.hom)
     core_td, contract_td = analysis.core_td, analysis.contract_td
     star, strict = analysis.star_sizes
     if contract_td.width >= k_contract:

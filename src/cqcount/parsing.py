@@ -206,6 +206,8 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests deeper than the recursion limit") from None
     if not isinstance(data, dict) or not isinstance(data.get("relations"), dict):
         raise InputError(f'{path} must be a JSON object with a "relations" object')
     structure = structure_from_dict(data)

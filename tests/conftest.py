@@ -41,6 +41,20 @@ def undirected(domain, edges):
     return digraph(domain, arcs)
 
 
+def relabel(a, rng):
+    """``a`` with its elements renamed by a random bijection.
+
+    The new names sort in a random order relative to the old ones, so a
+    computation that walks the domain in sorted order walks it shuffled.
+    """
+    names = [f"r{i:03d}" for i in range(len(a.domain))]
+    rng.shuffle(names)
+    rename = dict(zip(a.domain, names))
+    relations = {name: {tuple(rename[e] for e in t) for t in ts}
+                 for name, ts in a.relations.items()}
+    return RelationalStructure(a.vocabulary, tuple(rename[e] for e in a.domain), relations)
+
+
 def all_maps(src_domain, dst_domain):
     src = list(src_domain)
     for combo in product(list(dst_domain), repeat=len(src)):

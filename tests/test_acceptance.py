@@ -9,6 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from conftest import relabel
 
 from cqcount import (
     CASE_I,
@@ -86,9 +87,7 @@ def test_criterion_2_core_laws():
         assert is_core(core)
         assert hom_equivalent(core, a)
         assert core_of_structure(core) == core
-        order = sorted(a.domain)
-        rng.shuffle(order)
-        permuted = core_of_structure(a, element_order=order)
+        permuted = core_of_structure(relabel(a, rng))
         assert are_isomorphic(core, permuted)
         trials += 1
     assert trials >= 500

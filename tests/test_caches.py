@@ -5,8 +5,7 @@ and ``classify`` share one memoised analysis per query; these tests check
 that a cold and a warm cache give the same cores, reports and counts as
 the undecorated functions and the brute-force counter, that equal values
 share one entry, that classifying a counted query reuses its analysis,
-and that failures and other budgets or thresholds are never served from
-it.
+and that failures and other budgets are never served from it.
 """
 
 import random
@@ -43,12 +42,11 @@ from cqcount import counting
 from cqcount.cli import main
 from cqcount.cores import CORE_CACHE_SIZE
 from cqcount.counting import MODE_AUTO, MODE_STRUCTURAL, _analyse
-from cqcount.generators import quantifier_free_path_query, random_instance
+from cqcount.generators import random_instance
 from cqcount.hypergraphs import Graph
 from cqcount.treewidth import DECOMPOSITION_CACHE_SIZE, EXACT
 
-CONFIGS = [CountingConfig(mode=mode, exact_tw_threshold=threshold)
-           for mode in (MODE_AUTO, MODE_STRUCTURAL) for threshold in (16, 2)]
+CONFIGS = [CountingConfig(mode=mode) for mode in (MODE_AUTO, MODE_STRUCTURAL)]
 
 
 def uncached_report(q, cfg, k_core=3, k_contract=3):
@@ -56,8 +54,8 @@ def uncached_report(q, cfg, k_core=3, k_contract=3):
     core = core_of_query.__wrapped__(q, cfg.hom)
     h = hypergraph_of(core)
     cg = contract(h)
-    core_td = decompose.__wrapped__(primal_graph(h), cfg.exact_tw_threshold)
-    contract_td = decompose.__wrapped__(primal_graph(cg), cfg.exact_tw_threshold)
+    core_td = decompose.__wrapped__(primal_graph(h))
+    contract_td = decompose.__wrapped__(primal_graph(cg))
     if contract_td.width >= k_contract:
         label = CASE_III
     elif core_td.width >= k_core:
@@ -107,9 +105,9 @@ def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
     graphs = []
     real_decompose = counting.decompose
 
-    def recording(g, threshold):
+    def recording(g):
         graphs.append(g)
-        return real_decompose(g, threshold)
+        return real_decompose(g)
 
     monkeypatch.setattr(counting, "decompose", recording)
     rng = random.Random(86)
@@ -130,16 +128,6 @@ def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
         assert classify(q) == report and not graphs
         kinds.add(quantified)
     assert kinds == {False, True}
-
-
-def test_exact_thresholds_do_not_share_an_analysis():
-    q = quantifier_free_path_query(4)
-    b = digraph("ab", [("a", "b"), ("b", "a")])
-    assert count_answers(q, b, CountingConfig(exact_tw_threshold=16)) == 2
-    bound = classify(q, cfg=CountingConfig(exact_tw_threshold=2))
-    exact = classify(q, cfg=CountingConfig(exact_tw_threshold=16))
-    assert exact.contract_treewidth_exact and not bound.contract_treewidth_exact
-    assert _analyse.cache_info().currsize == 2
 
 
 def test_warm_counts_build_no_structures(monkeypatch):

@@ -502,11 +502,6 @@ def test_count_answers_matches_the_replayed_pipeline():
 
 @pytest.mark.parametrize("config, field, value", [
     (CountingConfig, "mode", "fast"),
-    (CountingConfig, "width_cap", True),
-    (CountingConfig, "brute_cap", 0.5),
-    (CountingConfig, "brute_cap", 0),
-    (CountingConfig, "exact_tw_threshold", -1),
-    (CountingConfig, "exact_tw_threshold", "16"),
     (HomSearchConfig, "node_budget", 2.5),
     (HomSearchConfig, "enumeration_cap", False),
     (HomSearchConfig, "node_budget", 0),
@@ -551,14 +546,15 @@ def test_extra_target_symbols_are_ignored():
 
 def test_width_cap_and_auto_fallback():
     star = quantified_star_query(10)  # contract is K10, width 9
+    assert CountingConfig.width_cap < 9
     b = digraph("uv", [("u", "u"), ("u", "v")])
-    tight = CountingConfig(mode="structural", width_cap=5)
-    with pytest.raises(ResourceBudgetError):
-        count_answers(star, b, tight)
-    fallback = CountingConfig(mode="auto", width_cap=5)
-    assert count_answers(star, b, fallback) == count_answers_brute(star, b)
-    boxed = CountingConfig(mode="auto", width_cap=5, brute_cap=10)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="width 9"):
+        count_answers(star, b, STRUCTURAL)
+    assert count_answers(star, b, CountingConfig(mode="auto")) == count_answers_brute(star, b)
+    # the brute-force fallback walks 2^10 candidate tuples
+    boxed = CountingConfig(mode="auto", hom=HomSearchConfig(enumeration_cap=10))
+    assert boxed.brute_cap == 10
+    with pytest.raises(ResourceBudgetError, match="enumeration cap 10"):
         count_answers(star, b, boxed)
 
 
@@ -582,7 +578,7 @@ def test_classify_families():
 
 def test_classify_rejects_bounds_below_one():
     q = quantified_star_query(2)
-    for bounds in ((0, 3), (3, 0), (-1, 0)):
+    for bounds in ((0, 3), (3, 0), (-1, 0), (2.5, 3), (True, 3), ("3", 3), (3, 2.5)):
         with pytest.raises(InputError):
             classify(q, *bounds)
     assert classify(q, 1, 1).case_label == CASE_III
@@ -614,18 +610,22 @@ def test_classify_isomorphism_invariance():
 def test_classify_matches_separate_decompositions():
     # The report assembled from one decompose call per primal graph.
     rng = random.Random(44)
-    configs = [CountingConfig(), CountingConfig(exact_tw_threshold=3)]
-    kinds = set()
+    queries = []
     for trial in range(120):
-        cfg = configs[trial % 2]
         q, _ = random_instance(rng, max_vars=7, max_free=4, max_atoms=7)
         if trial % 3 == 0:
             q = ConjunctiveQuery(q.structure, q.structure.domain)
-        core = core_of_query(q, cfg.hom)
+        queries.append(q)
+    # more variables than the exact-treewidth threshold: an upper bound
+    assert CountingConfig.exact_tw_threshold < 17
+    queries.append(quantifier_free_path_query(17))
+    kinds = set()
+    for q in queries:
+        core = core_of_query(q)
         h = hypergraph_of(core)
         cg = contract(h)
-        core_td = decompose(primal_graph(h), cfg.exact_tw_threshold)
-        contract_td = decompose(primal_graph(cg), cfg.exact_tw_threshold)
+        core_td = decompose(primal_graph(h))
+        contract_td = decompose(primal_graph(cg))
         star, strict = star_sizes(h)
         if contract_td.width >= 2:
             label = CASE_III
@@ -637,7 +637,7 @@ def test_classify_matches_separate_decompositions():
             core, core_td.width, core_td.exactness == EXACT,
             cg, contract_td.width, contract_td.exactness == EXACT,
             star, strict, 2, 2, label)
-        assert classify(q, 2, 2, cfg) == want
+        assert classify(q, 2, 2) == want
         kinds.add((bool(core.quantified_vars), core_td.exactness, label))
     assert {quantified for quantified, _, _ in kinds} == {False, True}
     assert {exactness for _, exactness, _ in kinds} == {EXACT, UPPER_BOUND}

@@ -289,7 +289,7 @@ def test_cli_analyze_rejects_bounds_below_one(bounds, capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--query", str(query),
                              "--k-core", bounds[0], "--k-contract", bounds[1])
     assert (code, out) == (1, "")
-    assert err.startswith("error: width bounds must be at least 1")
+    assert err.startswith("error: k_") and "must be at least 1" in err
 
 
 def test_cli_parser_is_built_once_and_reused(capsys):
@@ -347,9 +347,28 @@ def test_cli_exit_codes(command, capsys, monkeypatch, tmp_path):
     assert code == 1 and "cannot read" in err
     code, err = run(DATA / "edge.query", db=tmp_path / "absent.json")
     assert code == 1 and "error:" in err
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"relations": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, err = run(DATA / "edge.query", db=deep)
+    assert code == 1 and err.startswith("error:") and "recursion limit" in err
     monkeypatch.setenv("CQCOUNT_BUDGET", "1")
     code, err = run(DATA / "p3.query")
     assert code == 2 and "budget" in err
+
+
+def test_cli_prints_counts_past_the_int_digit_limit(capsys, tmp_path):
+    # 10^4400 answers; str() refuses ints of over 4300 digits by default
+    variables = [f"x{i}" for i in range(4400)]
+    query = tmp_path / "wide.query"
+    query.write_text(f"answer({','.join(variables)}) :- "
+                     + ", ".join(f"U({v})" for v in variables) + ".")
+    db = tmp_path / "unary.json"
+    db.write_text(json.dumps(
+        {"relations": {"U": {"arity": 1, "tuples": [[str(d)] for d in range(10)]}}}))
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "count", "--db", str(db), "--query", str(query)) == (
+        0, "1" + "0" * 4400 + "\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("bad", ["query", "db"])

@@ -378,6 +378,27 @@ def test_lift_star_target():
             enumerate_answers(lifted_q, lifted_b))
 
 
+def with_zero_ary_atom_and_clashing_values(left, right, holds):
+    """The instance plus a 0-ary atom Z, true in the target iff ``holds``.
+
+    Of two target values, the second is renamed to the element the lift
+    would make for the first component's row (first, first), so the lift
+    must pick another tag for its component elements.
+    """
+    rename = {v: v for v in right.domain}
+    if len(right.domain) == 2:
+        first, second = right.domain
+        rename[second] = str(("__scomp_0", (first, first)))
+    vocab = Vocabulary(dict(left.structure.vocabulary.symbols, Z=0))
+    lrels = dict(left.structure.relations, Z={()})
+    rrels = {name: {tuple(rename[x] for x in t) for t in ts}
+             for name, ts in right.relations.items()}
+    rrels["Z"] = {()} if holds else set()
+    return (ConjunctiveQuery(RelationalStructure(vocab, left.structure.domain, lrels),
+                             left.free_vars),
+            RelationalStructure(vocab, tuple(rename[v] for v in right.domain), rrels))
+
+
 def test_lift_two_components():
     rng = random.Random(62)
     q = ConjunctiveQuery(
@@ -385,11 +406,20 @@ def test_lift_two_components():
                 [("s1", "p"), ("p", "s2"), ("s1", "r"), ("r", "s1")]),
         ("s1", "s2"))
     target = hypergraph_of(q)
+    bumped = 0
     for _ in range(10):
         left, right = generic_contract_instance(rng, target, n_values=2)
         lifted_q, lifted_b = lift_to_hypergraph(left, right, target)
         assert set(enumerate_answers(left, right)) == set(
             enumerate_answers(lifted_q, lifted_b))
+        for holds in (True, False):
+            zq, zb = with_zero_ary_atom_and_clashing_values(left, right, holds)
+            lifted_q, lifted_b = lift_to_hypergraph(zq, zb, target)
+            want = enumerate_answers(zq, zb)
+            assert len(want) == (len(enumerate_answers(left, right)) if holds else 0)
+            assert enumerate_answers(lifted_q, lifted_b) == want
+            bumped += any(v.startswith("('___scomp_") for v in lifted_b.domain)
+    assert bumped >= 5
 
 
 def test_lift_with_isolated_free_vertex():
