@@ -9,10 +9,12 @@ enumeration budgets.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import random
+import reprlib
 import sys
 from pathlib import Path
 
@@ -46,15 +48,28 @@ from .structures import (
 BUDGET_ENV = "CQCOUNT_BUDGET"
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int/str digit limit (4300 by default from Python 3.10.7 on) for a block."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 def _configs(mode: str = MODE_AUTO) -> CountingConfig:
     """The counting configuration; CQCOUNT_BUDGET, when set, gives both budgets."""
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return CountingConfig(mode=mode)
     try:
-        budget = int(raw)
+        with _unlimited_int_digits():
+            budget = int(raw)
     except ValueError:
-        raise InputError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+        raise InputError(f"{BUDGET_ENV} must be an integer, got {reprlib.repr(raw)}") from None
     if budget <= 0:
         raise InputError(f"{BUDGET_ENV} must be positive")
     hom = HomSearchConfig(node_budget=budget, enumeration_cap=budget)
@@ -83,14 +98,8 @@ def _cmd_count(args) -> int:
     db = load_database(args.db)
     q = _load_query(args.query)
     count = count_answers(q, db, _configs(args.mode))
-    # From Python 3.10.7 on, str() refuses ints of over 4300 digits by default.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
-    set_limit(0)
-    try:
+    with _unlimited_int_digits():
         print(count)
-    finally:
-        set_limit(limit)
     return 0
 
 

@@ -2,15 +2,16 @@
 
 The backtracking solver here is deliberately straightforward: it is the
 oracle the structural counting pipeline is verified against, so clarity and
-exactness win over cleverness. Domains are pruned to generalized arc
+exactness win over cleverness. Each atom becomes one constraint over its
+distinct variables, and domains are pruned to generalized arc
 consistency once per search. Pinned variables are set first, all at once,
 and the constraints among them checked in one pass; the others follow in
 a static order (smallest domain first), values in sorted order, so every
 result is deterministic. In a pinned search each later variable draws its
 values from a support index of one constraint over variables already set.
-Brute-force answer counting plans once and pins each candidate tuple of
-free values in turn. Counts use Python integers and are never
-approximated; running out of budget raises, it does not round.
+Brute-force answer counting plans once and pins each tuple of the free
+variables' arc-consistent domains in turn. Counts use Python integers and
+are never approximated; running out of budget raises, it does not round.
 
 A search is built from bare atom lists and tuple sets; ``_search`` builds
 one for two structures after checking their vocabularies.
@@ -80,16 +81,15 @@ def check_vocabulary(src: RelationalStructure, dst: RelationalStructure) -> None
 class _Plan(NamedTuple):
     """How a search sets its variables, for one tuple of pinned variables.
 
-    ``pinned`` are set first: each value must lie in its ``pin_domains``
-    entry and ``pin_checks`` holds the constraints among them. Each later
+    ``pinned`` are set first, and ``pin_checks`` holds the constraints
+    among them; the caller keeps each pin inside its domain. Each later
     variable has one step ``(variable, candidates, key, triggers)``: its
     sorted domain, or a support index that ``key`` looks up in the
     assignment, and the constraints whose last variable it is. A check is a
-    ``(relation, constraint tuple)`` pair.
+    ``(rows, scope)`` pair.
     """
 
     pinned: Tuple[str, ...]
-    pin_domains: List[set]
     pin_checks: List[tuple]
     steps: List[tuple]
 
@@ -98,16 +98,20 @@ class _HomSearch:
     """Reusable backtracking context for homomorphisms src -> dst.
 
     ``atoms`` are the source's sorted (relation, tuple) pairs, 0-ary ones
-    included; ``dst_rel`` maps their relations to the target's tuple sets.
-    A variable starts with the sorted target domain or its ``start`` entry;
-    one starting value acts as a singleton unary relation pinning it there.
+    included, and ``relations`` maps their relations to the target's tuple
+    sets. Each atom with variables becomes a constraint ``(scope, rows)``:
+    its distinct variables, and the target rows that repeat a value
+    wherever the atom repeats a variable, projected onto them. A variable
+    starts with the sorted target domain or its ``start`` entry; one
+    starting value acts as a singleton unary relation pinning it there.
 
     Building the context indexes the instance once; ``solutions`` can then
     be called many times with different pinned variables (this is what makes
     brute-force answer counting tolerable). Generalized arc consistency
     over every constraint, unary ones included, is established once at the
-    root; ``feasible`` is False exactly when it empties a domain or a 0-ary
-    constraint fails in the target.
+    root, and ``base`` holds the sorted domains it leaves; ``feasible`` is
+    False exactly when it empties a domain or a 0-ary atom fails in the
+    target.
 
     A search plans its variables per call, and brute-force answer counting
     plans once per count. The pinned variables come first and are set and
@@ -119,33 +123,38 @@ class _HomSearch:
     """
 
     def __init__(self, atoms: Sequence[Tuple[str, tuple]], src_domain: Sequence[str],
-                 dst_rel: Mapping[str, frozenset], dst_domain: Iterable[str],
+                 relations: Mapping[str, frozenset], dst_domain: Iterable[str],
                  start: Optional[Mapping[str, Sequence[str]]] = None,
                  cfg: HomSearchConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.src_domain = set(src_domain)
         self.dst_domain = set(dst_domain)
-        self.dst_rel = dst_rel
-        self.constraints = [atom for atom in atoms if atom[1]]
-        # A 0-ary source tuple is a bare truth requirement on the target;
-        # an empty target leaves no value for any source variable.
-        self.feasible = (bool(self.dst_domain) or not self.src_domain) and all(
-            () in dst_rel[name] for name, t in atoms if not t)
-        self.values = sorted(self.dst_domain)
+        values = sorted(self.dst_domain)
         start = start or {}
-        base = {v: list(start.get(v, self.values)) for v in src_domain}
+        self.base = {v: list(start.get(v, values)) for v in src_domain}
+        # An empty target leaves no value for any source variable.
+        self.feasible = bool(values) or not self.src_domain
+        self.constraints = []
         # Variable -> indices of the constraints it occurs in.
         self.watch = {v: [] for v in src_domain}
-        for ci, (_, t) in enumerate(self.constraints):
-            for v in set(t):
-                self.watch[v].append(ci)
+        for name, t in atoms:
+            rows = relations[name]
+            if not t:
+                # A 0-ary source tuple is a bare truth requirement on the target.
+                self.feasible = self.feasible and () in rows
+                continue
+            first = {}
+            for i, v in enumerate(t):
+                j = first.setdefault(v, i)
+                if j != i:
+                    rows = [row for row in rows if row[i] == row[j]]
+            if len(first) < len(t):
+                rows = frozenset(tuple([row[i] for i in first.values()]) for row in rows)
+            for v in first:
+                self.watch[v].append(len(self.constraints))
+            self.constraints.append((tuple(first), rows))
         if self.feasible:
-            self.feasible = self._propagate(base, range(len(self.constraints)))
-        self._settle(base)
-
-    def _settle(self, base: dict) -> None:
-        self.base = base
-        self.base_sets = {v: set(dom) for v, dom in base.items()}
+            self.feasible = self._propagate(self.base, range(len(self.constraints)))
 
     def avoiding(self, value: str) -> _HomSearch:
         """This search with ``value`` removed from every domain.
@@ -158,8 +167,8 @@ class _HomSearch:
         """
         view = object.__new__(_HomSearch)  # shares the instance's index
         view.__dict__.update(self.__dict__)
-        dom = dict(self.base)
-        changed = [v for v, d in self.base_sets.items() if value in d]
+        view.base = dom = dict(self.base)
+        changed = [v for v, d in dom.items() if value in d]
         for v in changed:
             dom[v] = [b for b in dom[v] if b != value]
             if not dom[v]:
@@ -167,9 +176,6 @@ class _HomSearch:
         if view.feasible:
             view.feasible = view._propagate(
                 dom, sorted({ci for v in changed for ci in self.watch[v]}))
-        if view.feasible:
-            # An infeasible view yields nothing and never reads its domains.
-            view._settle(dom)
         return view
 
     def _propagate(self, dom: dict, start: Iterable[int]) -> bool:
@@ -180,21 +186,12 @@ class _HomSearch:
         while queue:
             ci = queue.popleft()
             queued.discard(ci)
-            name, t = self.constraints[ci]
-            # The target rows that fit the domains and repeat a value
-            # wherever the constraint repeats a variable.
-            rows = self.dst_rel[name]
-            first = {}
-            for i, v in enumerate(t):
-                if v in first:
-                    j = first[v]
-                    rows = [row for row in rows if row[i] == row[j]]
-                else:
-                    first[v] = i
-                    allowed = set(dom[v])
-                    rows = [row for row in rows if row[i] in allowed]
+            scope, rows = self.constraints[ci]
+            for i, v in enumerate(scope):
+                allowed = set(dom[v])
+                rows = [row for row in rows if row[i] in allowed]
             shrunk = []
-            for v, i in first.items():
+            for i, v in enumerate(scope):
                 supported = {row[i] for row in rows}
                 new = [b for b in dom[v] if b in supported]
                 if len(new) != len(dom[v]):
@@ -218,22 +215,21 @@ class _HomSearch:
         pos = {v: i for i, v in enumerate((*pinned, *rest))}
         # Each constraint is checked as soon as its last variable is set.
         triggers = [[] for _ in pos]
-        for name, t in self.constraints:
-            triggers[max(pos[v] for v in t)].append((self.dst_rel[name], t))
+        for scope, rows in self.constraints:
+            triggers[max(pos[v] for v in scope)].append((rows, scope))
         steps = []
         for i, v in enumerate(rest, len(pinned)):
             candidates, key = base[v], None
             if pinned:
                 # The constraint on v covering the most variables set before it.
                 ci, before = max(
-                    ((ci, {u for u in self.constraints[ci][1] if pos[u] < i})
+                    ((ci, {u for u in self.constraints[ci][0] if pos[u] < i})
                      for ci in self.watch[v]),
                     key=lambda c: len(c[1]), default=(None, ()))
                 if before:
                     candidates, key = self._support_index(ci, v, sorted(before))
             steps.append((v, candidates, key, triggers[i]))
-        return _Plan(pinned, [self.base_sets[v] for v in pinned],
-                     [c for cs in triggers[:len(pinned)] for c in cs], steps)
+        return _Plan(pinned, [c for cs in triggers[:len(pinned)] for c in cs], steps)
 
     def _support_index(self, ci: int, v: str, before: List[str]):
         """The values constraint ``ci`` allows ``v`` given those of ``before``.
@@ -243,20 +239,14 @@ class _HomSearch:
         key that reads the values of ``before`` from an assignment. A key
         over one variable is the bare value.
         """
-        name, t = self.constraints[ci]
-        first = {}
-        for i, u in enumerate(t):
-            first.setdefault(u, i)
-        at = first[v]
-        allowed = self.base_sets[v]
-        rows = [row for row in self.dst_rel[name] if row[at] in allowed]
-        for i, u in enumerate(t):
-            if first[u] != i:
-                rows = [row for row in rows if row[i] == row[first[u]]]
-        row_key = itemgetter(*[first[u] for u in before])
+        scope, rows = self.constraints[ci]
+        at = scope.index(v)
+        allowed = set(self.base[v])
+        row_key = itemgetter(*[scope.index(u) for u in before])
         index = {}
         for row in rows:
-            index.setdefault(row_key(row), set()).add(row[at])
+            if row[at] in allowed:
+                index.setdefault(row_key(row), set()).add(row[at])
         index = {key: sorted(vs) for key, vs in index.items()}
         return index, itemgetter(*before)
 
@@ -265,7 +255,8 @@ class _HomSearch:
         """All homomorphisms extending ``pins``, canonically ordered.
 
         The order is lexicographic in the values of the unpinned variables,
-        taken smallest domain first, then by name.
+        taken smallest domain first, then by name. A pin outside its
+        variable's domain has no solutions.
         """
         pins = dict(pins or {})
         bad_keys = sorted(set(pins) - self.src_domain)
@@ -274,7 +265,7 @@ class _HomSearch:
         bad_vals = sorted(set(pins.values()) - self.dst_domain)
         if bad_vals:
             raise InputError(f"pinned values {bad_vals!r} are not in the target domain")
-        if not self.feasible:
+        if not self.feasible or any(b not in self.base[v] for v, b in pins.items()):
             return iter(())
         pinned = tuple(sorted(pins))
         return self._run(self._plan(pinned), tuple([pins[v] for v in pinned]), injective)
@@ -283,14 +274,12 @@ class _HomSearch:
              injective: bool = False) -> Iterator[Assignment]:
         """The homomorphisms that give ``plan.pinned`` the values ``pins``.
 
-        Neither the search nor the pins are checked for validity here.
+        Nothing is checked here: the search must be feasible and each pin
+        must lie in its variable's domain.
         """
-        for b, dom in zip(pins, plan.pin_domains):
-            if b not in dom:
-                return
         assign: Assignment = dict(zip(plan.pinned, pins))
-        for rel, t in plan.pin_checks:
-            if tuple(assign[e] for e in t) not in rel:
+        for rows, scope in plan.pin_checks:
+            if tuple(assign[e] for e in scope) not in rows:
                 return
         used = set(pins) if injective else None
         if injective and len(used) != len(pins):
@@ -318,8 +307,8 @@ class _HomSearch:
                     )
                 assign[v] = b
                 ok = True
-                for rel, t in triggers:
-                    if tuple(assign[e] for e in t) not in rel:
+                for rows, scope in triggers:
+                    if tuple(assign[e] for e in scope) not in rows:
                         ok = False
                         break
                 if ok:
@@ -407,21 +396,22 @@ def _answer_iter(q: ConjunctiveQuery, dst: RelationalStructure,
 
 
 def _answers(search: _HomSearch, free: Tuple[str, ...]) -> Iterator[tuple]:
-    """Each tuple of target values for ``free`` that extends to a solution, in order."""
+    """Each tuple of ``free``'s arc-consistent domains that extends to a solution, in order."""
     if not search.feasible:
         return
     plan = search._plan(free)
     run = search._run
-    for combo in product(search.values, repeat=len(free)):
+    for combo in product(*[search.base[v] for v in free]):
         if next(run(plan, combo), None) is not None:
             yield combo
 
 
 def count_answers_brute(q: ConjunctiveQuery, dst: RelationalStructure,
                         cfg: HomSearchConfig = DEFAULT_CONFIG) -> int:
-    """|hom(A, B, S)| by enumerating all maps S -> B and testing extension.
+    """|hom(A, B, S)| by testing each map of S into its arc-consistent domains for extension.
 
-    This is the testing oracle for the whole repository.
+    This is the testing oracle for the whole repository. ``enumeration_cap``
+    still bounds |D|^|free|, however far arc consistency prunes the domains.
     """
     return sum(1 for _ in _answer_iter(q, dst, cfg))
 

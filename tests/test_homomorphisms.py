@@ -44,6 +44,10 @@ def test_find_extension_basic():
     h = find_extension(single, TRIANGLE)
     assert h is not None
     assert is_homomorphism(single, TRIANGLE, h)
+    # a map that misses or adds a source element, or leaves the target
+    assert not is_homomorphism(single, TRIANGLE, {"x": h["x"]})
+    assert not is_homomorphism(single, TRIANGLE, {**h, "z": "a"})
+    assert not is_homomorphism(single, TRIANGLE, {"x": "a", "y": "z"})
 
 
 def test_triangle_into_bipartite_cycle_absent():
@@ -187,6 +191,10 @@ def test_iter_homomorphisms_injective_and_isomorphism():
     assert are_isomorphic(square, renamed)
     p4 = undirected("wxyz", [("w", "x"), ("x", "y"), ("y", "z")])
     assert not are_isomorphic(square, p4)
+    # a different size, or the same arcs under a larger vocabulary
+    assert not are_isomorphic(square, undirected("abc", [("a", "b"), ("b", "c")]))
+    assert not are_isomorphic(square, structure({"E": 2, "U": 1}, "abcd",
+                                                {"E": square.tuples("E")}))
 
 
 def test_zero_ary_constraints():
@@ -237,13 +245,23 @@ class _Shapes:
         self.seen = {"repeat_in_driving_atom": 0, "unary_atom": 0, "zero_ary_atom": 0,
                      "empty_relation": 0, "empty_target": 0, "pin_outside_domain": 0,
                      "quantified_linked_only_later": 0}
-        index = _HomSearch._support_index
+        # The atoms with variables each search was built from, by its
+        # constraint list (which views made by ``avoiding`` share), so that
+        # constraint ``ci`` reads back as the atom it was built from.
+        self.built = {}
+        init, index = _HomSearch.__init__, _HomSearch._support_index
+
+        def recording_init(search, atoms, *args, **kwargs):
+            init(search, atoms, *args, **kwargs)
+            self.built[id(search.constraints)] = (search.constraints,
+                                                  [t for _, t in atoms if t])
 
         def recording(search, ci, v, before):
-            t = search.constraints[ci][1]
+            t = self.built[id(search.constraints)][1][ci]
             self.seen["repeat_in_driving_atom"] += len(set(t)) < len(t)
             return index(search, ci, v, before)
 
+        monkeypatch.setattr(_HomSearch, "__init__", recording_init)
         monkeypatch.setattr(_HomSearch, "_support_index", recording)
 
     def note(self, a, b, pinned, pin_sets):
@@ -257,7 +275,7 @@ class _Shapes:
         if not (search.feasible and pinned):
             return
         self.seen["pin_outside_domain"] += any(
-            value not in search.base_sets[v]
+            value not in search.base[v]
             for pins in pin_sets for v, value in zip(pinned, pins))
         for v, _, key, _ in search._plan(tuple(pinned)).steps:
             self.seen["quantified_linked_only_later"] += key is None and bool(search.watch[v])
@@ -280,6 +298,25 @@ def test_answers_match_independent_oracle(monkeypatch):
         assert count_answers_brute(q, b) == len(want)
         shapes.note(a, b, free, list(product(sorted(b.domain), repeat=len(free))))
     shapes.assert_all_seen()
+
+
+def test_answers_walk_the_arc_consistent_domains(monkeypatch):
+    # Arc consistency leaves x in {a, b} and y in {b, c} of four values, so
+    # brute-force counting tries 2 * 2 free tuples, not 4 ** 2.
+    b = digraph("abcd", [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")])
+    q = ConjunctiveQuery(digraph("xyz", [("x", "y"), ("y", "z")]), ("x", "y"))
+    run, calls = _HomSearch._run, []
+
+    def counting(search, plan, pins, injective=False):
+        calls.append(pins)
+        return run(search, plan, pins, injective)
+
+    monkeypatch.setattr(_HomSearch, "_run", counting)
+    assert count_answers_brute(q, b) == 3
+    assert calls == [("a", "b"), ("a", "c"), ("b", "b"), ("b", "c")]
+    want = sorted(naive_answer_set(q, b))
+    assert want == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert enumerate_answers(q, b) == want
 
 
 def test_pinned_homomorphisms_match_independent_oracle(monkeypatch):

@@ -419,6 +419,18 @@ def test_cli_budget_env_resource_exit(capsys, monkeypatch):
         assert (code, out) == (1, "")
         assert err.startswith(f"error: CQCOUNT_BUDGET {message}")
 
+    # Past Python's int/str digit limit: a budget of 5,000 nines is read as
+    # a number, and a long non-number is echoed shortened, on one line.
+    monkeypatch.setenv("CQCOUNT_BUDGET", "9" * 5000)
+    assert run_cli(capsys, "count", "--db", str(DATA / "triangle.json"),
+                   "--query", str(DATA / "edge.query")) == (0, "3\n", "")
+    monkeypatch.setenv("CQCOUNT_BUDGET", "x" * 5000)
+    code, out, err = run_cli(capsys, "count", "--db", str(DATA / "triangle.json"),
+                             "--query", str(DATA / "edge.query"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CQCOUNT_BUDGET must be an integer")
+    assert err.count("\n") == 1 and len(err) < 200
+
 
 @pytest.mark.parametrize("argv", [["decide"], ["count", "--mode", "brute"]])
 def test_deep_search_is_a_budget_error(argv, capsys, tmp_path):

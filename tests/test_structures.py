@@ -35,6 +35,8 @@ def test_structure_validation():
         structure({"E": 2}, "ab", {"E": {("a", "z")}})
     with pytest.raises(InputError):
         structure({"E": 2}, "ab", {"F": {("a", "b")}})
+    with pytest.raises(InputError, match="domain elements must be strings"):
+        structure({"E": 2}, ("a", 1), {})
 
 
 def test_duplicates_collapse():

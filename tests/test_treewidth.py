@@ -94,6 +94,10 @@ def test_exact_treewidth_matches_elimination_brute_force():
 def test_exact_treewidth_limit():
     with pytest.raises(InputError):
         exact_treewidth(clique(17))
+    td = decompose(clique(3))
+    for call in (exact_treewidth, decompose, lambda obj: verify_decomposition(obj, td)):
+        with pytest.raises(InputError, match="expected a Graph, got tuple"):
+            call(("a", "b"))
 
 
 def test_decompose_examples():
@@ -185,6 +189,9 @@ def test_decomposition_from_order_disconnected():
     g = graph("abcd", [("a", "b"), ("c", "d")])
     td = decomposition_from_order(g, ["a", "b", "c", "d"], EXACT)
     assert verify_decomposition(g, td) == 1
+    for order in (["a", "b", "c"], ["a", "b", "c", "d", "a"]):
+        with pytest.raises(InputError, match="every vertex exactly once"):
+            decomposition_from_order(g, order, EXACT)
 
 
 def test_minor_min_width_is_a_lower_bound():
