@@ -60,30 +60,29 @@ def _unlimited_int_digits():
         set_limit(limit)
 
 
+def _integer(text: str, positive: bool = False) -> int:
+    """Every integer the CLI reads, of any size; a rejected text is echoed shortened."""
+    try:
+        with _unlimited_int_digits():
+            value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {reprlib.repr(text)}") from None
+    if positive and value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {reprlib.repr(text)}")
+    return value
+
+
 def _configs(mode: str = MODE_AUTO) -> CountingConfig:
     """The counting configuration; CQCOUNT_BUDGET, when set, gives both budgets."""
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return CountingConfig(mode=mode)
     try:
-        with _unlimited_int_digits():
-            budget = int(raw)
-    except ValueError:
-        raise InputError(f"{BUDGET_ENV} must be an integer, got {reprlib.repr(raw)}") from None
-    if budget <= 0:
-        raise InputError(f"{BUDGET_ENV} must be positive")
+        budget = _integer(raw, positive=True)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"{BUDGET_ENV} {exc}") from None
     hom = HomSearchConfig(node_budget=budget, enumeration_cap=budget)
     return CountingConfig(mode=mode, hom=hom)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
 
 
 def _load_query(path: str) -> ConjunctiveQuery:
@@ -120,7 +119,8 @@ def _cmd_core(args) -> int:
 def _cmd_analyze(args) -> int:
     q = _load_query(args.query)
     report = classify(q, args.k_core, args.k_contract, _configs())
-    print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    with _unlimited_int_digits():
+        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -192,8 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="print the trichotomy report as JSON")
     analyze.add_argument("--query", required=True)
-    analyze.add_argument("--k-core", type=int, default=3)
-    analyze.add_argument("--k-contract", type=int, default=3)
+    analyze.add_argument("--k-core", type=_integer, default=3)
+    analyze.add_argument("--k-contract", type=_integer, default=3)
     analyze.set_defaults(func=_cmd_analyze)
 
     core = sub.add_parser("core", help="print the core of the query")
@@ -214,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_demo.set_defaults(func=_cmd_reduce_demo)
 
     selftest = sub.add_parser("selftest", help="cross-check counters on random instances")
-    selftest.add_argument("--trials", type=_positive_int, default=200)
-    selftest.add_argument("--seed", type=int, default=0)
+    selftest.add_argument("--trials", type=functools.partial(_integer, positive=True), default=200)
+    selftest.add_argument("--seed", type=_integer, default=0)
     selftest.set_defaults(func=_cmd_selftest)
 
     return parser

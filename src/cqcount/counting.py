@@ -49,6 +49,7 @@ from .homomorphisms import (
     HomSearchConfig,
     _HomSearch,
     _answers,
+    _atom_factor,
     _check_candidates,
     _check_int,
     check_vocabulary,
@@ -128,6 +129,24 @@ def _bare_subquery(atoms: List[Tuple[str, tuple]], domain: Sequence[str],
             tuple(v for v in domain if v in keep))
 
 
+def _split(q: ConjunctiveQuery) -> Tuple[SHypergraph, List[SComponent], tuple, tuple]:
+    """The query's S-hypergraph, S-components, their ``_bare_subquery``s and all-free atoms.
+
+    The all-free atoms, 0-ary ones included, are grouped per relation that
+    has any. Counting splits the core, ``contract_instance`` its own query.
+    """
+    h = hypergraph_of(q)
+    comps = s_components(h)
+    atoms, domain = q.structure.atoms(), q.structure.domain
+    free = frozenset(q.free_vars)
+    free_atoms = tuple(
+        (name, kept)
+        for name, ts in q.structure.relations.items()
+        if (kept := tuple(t for t in ts if free.issuperset(t)))
+    )
+    return h, comps, tuple(_bare_subquery(atoms, domain, c) for c in comps), free_atoms
+
+
 def _projection(component: Tuple[tuple, list, tuple], dst: RelationalStructure,
                 hom: HomSearchConfig) -> Tuple[tuple, dict]:
     """A component's factor: its scope and the answers of its subquery in ``dst``.
@@ -171,21 +190,18 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     answer sets of (q, dst) and of the result coincide exactly. Callers
     normally pass a core query, but the equivalence holds for any query.
     A query without quantified variables has no S-component and is returned
-    unchanged, together with ``dst``.
+    unchanged, together with ``dst``. The components and all-free atoms
+    come from ``_split``, the same split a count reads of its core.
     """
     check_vocabulary(q.structure, dst)
-    comps = s_components(hypergraph_of(q))
+    _, comps, subqueries, free_atoms = _split(q)
     if not comps:
         return q, dst
-    free = frozenset(q.free_vars)
     left_symbols = dict(q.structure.vocabulary.symbols)
-    left_rels: Dict[str, frozenset] = {}
-    for name, ts in q.structure.relations.items():
-        left_rels[name] = frozenset(t for t in ts if set(t) <= free)
+    left_rels = dict(free_atoms)  # a relation left out is empty
     right_rels: Dict[str, frozenset] = {name: dst.tuples(name) for name in left_symbols}
-    atoms = q.structure.atoms()
-    for i, comp in enumerate(comps):
-        scope, rows = _projection(_bare_subquery(atoms, q.structure.domain, comp), dst, cfg.hom)
+    for i, subquery in enumerate(subqueries):
+        scope, rows = _projection(subquery, dst, cfg.hom)
         name = f"{COMPONENT_PREFIX}{i}"
         left_symbols[name] = len(scope)
         left_rels[name] = frozenset({scope})
@@ -194,27 +210,6 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     left = RelationalStructure(vocab, q.free_vars, left_rels)
     right = RelationalStructure(vocab, dst.domain, right_rels)
     return ConjunctiveQuery(left, q.free_vars), right
-
-
-def _atom_factor(t: tuple, table: dict) -> Tuple[tuple, dict]:
-    """One atom's factor: its distinct variables and the matching rows.
-
-    ``table`` maps each row of the atom's relation to 1. An atom with
-    distinct variables returns it as is, so atoms of one relation share it;
-    a repeated variable keeps only rows that agree on its positions, and
-    each row is projected onto the first occurrences.
-    """
-    scope = tuple(dict.fromkeys(t))
-    if len(scope) == len(t):
-        return scope, table
-    first = {v: t.index(v) for v in scope}
-    repeats = [(i, first[v]) for i, v in enumerate(t) if first[v] != i]
-    keep = [first[v] for v in scope]
-    return scope, {
-        tuple(row[i] for i in keep): 1
-        for row in table
-        if all(row[i] == row[j] for i, j in repeats)
-    }
 
 
 def _key_getter(positions: List[int]):
@@ -368,8 +363,10 @@ def _elimination_order(td: TreeDecomposition) -> List[str]:
 
 def _relation_factors(atoms: Iterable[Tuple[str, Iterable[tuple]]],
                       dst: RelationalStructure) -> Iterator[Tuple[tuple, dict]]:
-    """One factor per atom; the atoms of one relation share its target table."""
+    """One factor per atom; a relation with atoms builds one target table, which they share."""
     for name, ts in atoms:
+        if not ts:
+            continue
         shared = dict.fromkeys(dst.tuples(name), 1)
         for t in ts:
             yield _atom_factor(t, shared)
@@ -432,38 +429,28 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
         raise InputError("count_quantifier_free_td expects a quantifier-free query")
     check_vocabulary(q.structure, dst)
     verify_decomposition(primal_graph(hypergraph_of(q)), td)
-    atoms = [(name, ts) for name, ts in q.structure.relations.items() if ts]
-    return _sum_product(_relation_factors(atoms, dst), _elimination_order(td),
-                        len(dst.domain))
+    return _sum_product(_relation_factors(q.structure.relations.items(), dst),
+                        _elimination_order(td), len(dst.domain))
 
 
 class _Analysis:
     """What counting and classifying read of one query, apart from any target.
 
-    ``components`` holds, per S-component of the core's hypergraph, its
-    free scope and the sorted atoms and domain of its induced subquery,
-    bare, so that a count only builds the search that reads the target;
-    ``free_atoms`` holds, per relation, the core atoms whose variables are
-    all free; ``order`` eliminates the variables of the contract graph
-    bottom-up along ``contract_td``. The contract graph shares its all-free
-    edges with the hypergraph, and is the hypergraph itself when there is
-    no S-component. The core's own decomposition and its star sizes are
-    computed on first use, so a count never pays for them.
+    The core's ``_split`` gives its hypergraph, its S-components and two
+    bare lists: ``components`` holds, per S-component, its free scope and
+    the sorted atoms and domain of its induced subquery, so that a count
+    only builds the search that reads the target, and ``free_atoms`` holds,
+    per relation, the core atoms whose variables are all free. ``order``
+    eliminates the variables of the contract graph bottom-up along
+    ``contract_td``. The contract graph shares its all-free edges with the
+    hypergraph, and is the hypergraph itself when there is no S-component.
+    The core's own decomposition and its star sizes are computed on first
+    use, so a count never pays for them.
     """
 
     def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig):
         self.core = core_of_query(q, hom)
-        self.hypergraph = hypergraph_of(self.core)
-        self._comps = s_components(self.hypergraph)
-        atoms = self.core.structure.atoms()
-        self.components = tuple(_bare_subquery(atoms, self.core.structure.domain, comp)
-                                for comp in self._comps)
-        free = frozenset(self.core.free_vars)
-        self.free_atoms = tuple(
-            (name, kept)
-            for name, ts in self.core.structure.relations.items()
-            if (kept := tuple(t for t in ts if free.issuperset(t)))
-        )
+        self.hypergraph, self._comps, self.components, self.free_atoms = _split(self.core)
         self.contract_graph = _contract(self.hypergraph, self._comps)
         self.contract_td = decompose(primal_graph(self.contract_graph))
         self.order = _elimination_order(self.contract_td)

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .structures import Assignment, ConjunctiveQuery, RelationalStructure
@@ -56,7 +56,8 @@ def _check_int(name: str, value: object, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise InputError(f"{name} must be at least {least}, got {value}")
+        # Not echoed: an int past the int/str digit limit cannot be printed.
+        raise InputError(f"{name} must be at least {least}")
 
 
 DEFAULT_CONFIG = HomSearchConfig()
@@ -76,6 +77,26 @@ def check_vocabulary(src: RelationalStructure, dst: RelationalStructure) -> None
             raise InputError(
                 f"relation {name!r} has arity {arity} in the source but {have} in the target"
             )
+
+
+def _atom_factor(t: tuple, table: Collection[tuple]) -> Tuple[tuple, Collection[tuple]]:
+    """One atom's factor: its distinct variables and the rows of ``table`` it matches.
+
+    ``table`` is the relation's tuple set (a search constraint) or a dict
+    mapping each row to 1 (a Σ table). An atom with distinct variables keeps
+    it as is, shared; otherwise a new dict maps to 1 each row that agrees on
+    a repeated variable's positions, projected onto the first occurrences.
+    """
+    scope = tuple(dict.fromkeys(t))
+    if len(scope) == len(t):
+        return scope, table
+    first = {v: t.index(v) for v in scope}
+    rows = table
+    for i, v in enumerate(t):
+        if first[v] != i:
+            rows = [row for row in rows if row[i] == row[first[v]]]
+    keep = list(first.values())
+    return scope, {tuple([row[i] for i in keep]): 1 for row in rows}
 
 
 class _Plan(NamedTuple):
@@ -99,9 +120,9 @@ class _HomSearch:
 
     ``atoms`` are the source's sorted (relation, tuple) pairs, 0-ary ones
     included, and ``relations`` maps their relations to the target's tuple
-    sets. Each atom with variables becomes a constraint ``(scope, rows)``:
-    its distinct variables, and the target rows that repeat a value
-    wherever the atom repeats a variable, projected onto them. A variable
+    sets. Each atom with variables becomes one constraint: its factor
+    ``(scope, rows)`` from ``_atom_factor``, as in Σ-elimination, which
+    keeps the target's tuple set unless the atom repeats a variable. A variable
     starts with the sorted target domain or its ``start`` entry; one
     starting value acts as a singleton unary relation pinning it there.
 
@@ -138,21 +159,14 @@ class _HomSearch:
         # Variable -> indices of the constraints it occurs in.
         self.watch = {v: [] for v in src_domain}
         for name, t in atoms:
-            rows = relations[name]
             if not t:
                 # A 0-ary source tuple is a bare truth requirement on the target.
-                self.feasible = self.feasible and () in rows
+                self.feasible = self.feasible and () in relations[name]
                 continue
-            first = {}
-            for i, v in enumerate(t):
-                j = first.setdefault(v, i)
-                if j != i:
-                    rows = [row for row in rows if row[i] == row[j]]
-            if len(first) < len(t):
-                rows = frozenset(tuple([row[i] for i in first.values()]) for row in rows)
-            for v in first:
+            constraint = _atom_factor(t, relations[name])
+            for v in constraint[0]:
                 self.watch[v].append(len(self.constraints))
-            self.constraints.append((tuple(first), rows))
+            self.constraints.append(constraint)
         if self.feasible:
             self.feasible = self._propagate(self.base, range(len(self.constraints)))
 

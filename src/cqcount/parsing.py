@@ -204,8 +204,9 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # Malformed JSON, or a number past Python's int/str digit limit.
+        raise InputError(f"cannot read {path} as JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests deeper than the recursion limit") from None
     if not isinstance(data, dict) or not isinstance(data.get("relations"), dict):

@@ -34,7 +34,7 @@ from itertools import product
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cores import core_of_query
-from .counting import _atom_factor, _join, _key_getter
+from .counting import _join, _key_getter, _relation_factors
 from .errors import InputError, InternalError, ResourceBudgetError
 from .homomorphisms import (
     DEFAULT_CONFIG,
@@ -42,7 +42,7 @@ from .homomorphisms import (
     free_automorphism_set,
     is_homomorphism,
 )
-from .hypergraphs import SHypergraph, contract, hypergraph_of, s_components
+from .hypergraphs import SHypergraph, _contract, hypergraph_of, s_components
 from .structures import (
     ConjunctiveQuery,
     RelationalStructure,
@@ -172,7 +172,8 @@ def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
 
     ``q`` must be its own core with its free variables fixed (checked); ``b``
     must interpret the base vocabulary and every pin relation. The oracle is
-    any procedure returning exact |hom(A, ., S)| counts.
+    any procedure returning exact |hom(A, ., S)| counts. One copy of T is D
+    renamed, so D is counted once, as every system's j = 1 point.
     """
     if core_of_query(q, cfg) != q:
         raise InputError("the pinned (augmented) query structure must be a core")
@@ -180,13 +181,14 @@ def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
     auto = free_automorphism_set(q, cfg)
     s = len(q.free_vars)
     nodes = list(range(1, s + 2))
+    plain = _oracle_count(oracle, dstruct.structure)
     total = 0
     for mask in range(1 << s):
         t_subset = [v for i, v in enumerate(q.free_vars) if mask >> i & 1]
         if t_subset:
-            rhs = [_oracle_count(oracle, blowup(dstruct, t_subset, j)) for j in nodes]
+            rhs = [plain] + [_oracle_count(oracle, blowup(dstruct, t_subset, j))
+                             for j in nodes[1:]]
         else:
-            plain = _oracle_count(oracle, dstruct.structure)
             rhs = [plain] * len(nodes)
         coefficients = solve_vandermonde(nodes, rhs)
         if any(c < 0 for c in coefficients):
@@ -237,23 +239,24 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     encodes an admissible assignment of the component's free vertices.
     Answer sets are preserved element-wise.
 
-    Every table is a join of sparse tables built from the target's tuples:
-    an edge's constraint joins the atoms whose variable set is that edge,
-    and a component's admissible assignments join the edge constraints
-    inside its free scope. The row budget is ``cfg.enumeration_cap``: a
-    component join that builds more rows raises ResourceBudgetError.
+    Every table is a join of sparse tables, one per relation and shared by
+    its atoms as in Σ-elimination: an edge's constraint joins the atoms
+    whose variable set is that edge, and a component's admissible
+    assignments join the edge constraints inside its free scope. The row
+    budget is ``cfg.enumeration_cap``: a component join that builds more
+    rows raises ResourceBudgetError.
     """
-    ct = contract(target)
+    comps = s_components(target)
+    ct = _contract(target, comps)
     if not _same_shypergraph(hypergraph_of(q), ct):
         raise InputError("the query's S-hypergraph must equal the contract of the target")
 
     # One constraint per contract edge, conjoining every atom with that
     # variable set; its rows are read out over the edge's sorted variables.
     edge_tables: Dict[frozenset, Tuple[tuple, dict]] = {}
-    for name, t in q.structure.atoms():
-        if t:
-            factor = _atom_factor(t, dict.fromkeys(b.tuples(name), 1))
-            e = frozenset(t)
+    for factor in _relation_factors(q.structure.relations.items(), b):
+        e = frozenset(factor[0])
+        if e:
             edge_tables[e] = _join(edge_tables[e], factor) if e in edge_tables else factor
 
     # Encoded component elements must not collide with target values; bump
@@ -266,7 +269,6 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     # A component's admissible assignments join the contract edges inside
     # its closure. Every free vertex of the closure lies in a touched edge,
     # whose free part is such a contract edge, so the joins cover the scope.
-    comps = s_components(target)
     comp_rows: List[dict] = []
     for ci, comp in enumerate(comps):
         table = ((), {(): 1})  # the empty join: a Boolean component keeps one row
@@ -280,10 +282,7 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
         comp_rows.append({str((f"{tag}_{ci}", row)): dict(zip(comp.free_scope, row))
                           for row in _rows_over(comp.free_scope, table)})
 
-    comp_of: Dict[str, int] = {}
-    for ci, comp in enumerate(comps):
-        for v in comp.component_core:
-            comp_of[v] = ci
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp.component_core}
 
     target_edges = sorted(target.edges, key=_edge_key)
     left_symbols: Dict[str, int] = {}
@@ -298,11 +297,9 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
         if not quantified:
             right_rels[name] = _rows_over(scope, edge_tables[e])
         else:
-            ci = comp_of[quantified[0]]
-            rows = set()
-            for key, bind in comp_rows[ci].items():
-                rows.add(tuple(key if v not in target.s_set else bind[v] for v in scope))
-            right_rels[name] = frozenset(rows)
+            right_rels[name] = frozenset(
+                tuple(key if v not in target.s_set else bind[v] for v in scope)
+                for key, bind in comp_rows[comp_of[quantified[0]]].items())
 
     # 0-ary atoms have no edge; carry them over verbatim so degenerate
     # Boolean constraints survive the rewrite.
@@ -322,13 +319,7 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
         right_rels[name] = frozenset((x,) for x in values)
 
     vocab = Vocabulary(left_symbols)
-    left_domain = tuple(target.vertices)
-    right_domain = tuple(values) + tuple(
-        sorted(key for rows in comp_rows for key in rows)
-    )
-    free = tuple(v for v in q.free_vars)
-    left = ConjunctiveQuery(
-        RelationalStructure(vocab, left_domain, left_rels), free
-    )
-    right = RelationalStructure(vocab, right_domain, right_rels)
-    return left, right
+    right_domain = tuple(values) + tuple(sorted(key for rows in comp_rows for key in rows))
+    left = RelationalStructure(vocab, tuple(target.vertices), left_rels)
+    return (ConjunctiveQuery(left, q.free_vars),
+            RelationalStructure(vocab, right_domain, right_rels))

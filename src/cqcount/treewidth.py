@@ -224,7 +224,6 @@ def decomposition_from_order(g: Graph, order: List[str], exactness: str) -> Tree
     return TreeDecomposition(tuple(bags), frozenset(edges), width, exactness)
 
 
-@lru_cache(maxsize=DECOMPOSITION_CACHE_SIZE)
 def decompose(obj: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> TreeDecomposition:
     """A valid tree decomposition: exact up to the threshold, min-fill above.
 
@@ -236,9 +235,15 @@ def decompose(obj: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Tre
     verified before being returned.
 
     Results are memoised by (graph value, threshold) and shared between
-    callers; they are immutable.
+    callers; they are immutable. The argument is checked to be a ``Graph``
+    before the memo hashes it.
     """
-    g = _require_graph(obj)
+    return _decompose(_require_graph(obj), exact_threshold)
+
+
+@lru_cache(maxsize=DECOMPOSITION_CACHE_SIZE)
+def _decompose(g: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> TreeDecomposition:
+    """``decompose`` for a checked graph, memoised."""
     td = decomposition_from_order(g, _min_fill_elimination(g), UPPER_BOUND)
     if len(g.vertices) <= exact_threshold:
         if _minor_min_width(g) == td.width:

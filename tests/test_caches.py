@@ -44,7 +44,7 @@ from cqcount.cores import CORE_CACHE_SIZE
 from cqcount.counting import MODE_AUTO, MODE_STRUCTURAL, _analyse
 from cqcount.generators import random_instance
 from cqcount.hypergraphs import Graph
-from cqcount.treewidth import DECOMPOSITION_CACHE_SIZE, EXACT
+from cqcount.treewidth import DECOMPOSITION_CACHE_SIZE, EXACT, _decompose
 
 CONFIGS = [CountingConfig(mode=mode) for mode in (MODE_AUTO, MODE_STRUCTURAL)]
 
@@ -54,8 +54,8 @@ def uncached_report(q, cfg, k_core=3, k_contract=3):
     core = core_of_query.__wrapped__(q, cfg.hom)
     h = hypergraph_of(core)
     cg = contract(h)
-    core_td = decompose.__wrapped__(primal_graph(h))
-    contract_td = decompose.__wrapped__(primal_graph(cg))
+    core_td = _decompose.__wrapped__(primal_graph(h))
+    contract_td = _decompose.__wrapped__(primal_graph(cg))
     if contract_td.width >= k_contract:
         label = CASE_III
     elif core_td.width >= k_core:
@@ -88,7 +88,7 @@ def test_cold_and_warm_caches_agree_with_uncached(cfg):
     cold = [analyse(q, b, cfg, cold=True) for q, b in instances]
     clear()
     warm = [analyse(q, b, cfg, cold=False) for q, b in instances]
-    assert core_of_query.cache_info().hits and decompose.cache_info().hits
+    assert core_of_query.cache_info().hits and _decompose.cache_info().hits
     assert _analyse.cache_info().hits
     for (q, b), got, again in zip(instances, cold, warm):
         assert got == again
@@ -117,13 +117,13 @@ def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
         clear()
         count_answers(q, b)
         cores = core_of_query.cache_info()
-        computed = decompose.cache_info().misses
+        computed = _decompose.cache_info().misses
         graphs.clear()
         report = classify(q)
         quantified = bool(report.core_query.quantified_vars)
         assert core_of_query.cache_info() == cores
         assert graphs == [primal_graph(hypergraph_of(report.core_query))]
-        assert decompose.cache_info().misses == computed + quantified
+        assert _decompose.cache_info().misses == computed + quantified
         graphs.clear()
         assert classify(q) == report and not graphs
         kinds.add(quantified)
@@ -158,7 +158,7 @@ def test_decompositions_match_uncached():
                  for u in t for v in t if u != v}
         g = Graph(verts, edges)
         for threshold in (16, 2):
-            fresh = decompose.__wrapped__(g, threshold)
+            fresh = _decompose.__wrapped__(g, threshold)
             assert decompose(g, threshold) == fresh
             assert decompose(Graph(tuple(reversed(verts)), set(edges)), threshold) == fresh
 
@@ -214,5 +214,5 @@ def test_cache_sizes_stay_bounded():
     assert core_of_query.cache_info().currsize == CORE_CACHE_SIZE
     for i in range(DECOMPOSITION_CACHE_SIZE + 20):
         decompose(Graph(("a", f"b{i}"), {frozenset(("a", f"b{i}"))}))
-        assert decompose.cache_info().currsize <= DECOMPOSITION_CACHE_SIZE
-    assert decompose.cache_info().currsize == DECOMPOSITION_CACHE_SIZE
+        assert _decompose.cache_info().currsize <= DECOMPOSITION_CACHE_SIZE
+    assert _decompose.cache_info().currsize == DECOMPOSITION_CACHE_SIZE

@@ -49,6 +49,7 @@ from cqcount.treewidth import (
     UPPER_BOUND,
     DecompositionError,
     TreeDecomposition,
+    _decompose,
     decomposition_from_order,
 )
 
@@ -646,7 +647,7 @@ def test_classify_matches_separate_decompositions():
 
 def test_classify_decomposes_a_quantifier_free_core_once():
     def computed():
-        return decompose.cache_info().misses
+        return _decompose.cache_info().misses
 
     classify(quantifier_free_path_query(4))
     assert computed() == 1

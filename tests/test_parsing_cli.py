@@ -173,6 +173,20 @@ def test_cli_count_rejects_malformed_tuples(tuples, tmp_path):
     assert "DatabaseWarning" not in proc.stderr
 
 
+def test_cli_count_rejects_a_number_past_the_digit_limit(tmp_path):
+    # json.loads raises a bare ValueError, not JSONDecodeError, for it.
+    db = tmp_path / "db.json"
+    db.write_text('{"relations": {"E": {"arity": %s, "tuples": []}}}' % ("9" * 5000))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqcount.cli", "count",
+         "--db", str(db), "--query", str(DATA / "edge.query")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_load_database_rejects_bad_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -280,6 +294,27 @@ def test_cli_selftest_rejects_non_positive_trials(trials, capsys):
     assert code == 1
     assert err.startswith("error: argument --trials")
     assert "cross-checks" not in out
+
+
+def test_cli_integer_options_accept_any_size(capsys, tmp_path):
+    nines = "9" * 5000
+    code, out, err = run_cli(capsys, "selftest", "--trials", "1", "--seed", nines)
+    assert (code, err) == (0, "")
+    assert "1 structural-vs-brute cross-checks, 0 failure(s)" in out
+    query = tmp_path / "q.query"
+    query.write_text("answer(x) :- E(x,y).")
+    code, out, err = run_cli(capsys, "analyze", "--query", str(query), "--k-core", nines)
+    assert (code, err) == (0, "")
+    assert f'"k_core": {nines},' in out
+    code, out, err = run_cli(capsys, "analyze", "--query", str(query), "--k-core", "-" + nines)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: k_core must be at least 1") and len(err) < 200
+    for argv in (["selftest", "--trials"], ["analyze", "--query", str(query), "--k-core"]):
+        code, out, err = run_cli(capsys, *argv, "x" * 5000)
+        assert (code, out) == (1, "")
+        option = argv[-1]
+        assert err.startswith(f"error: argument {option}: must be an integer")
+        assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("bounds", [("-1", "0"), ("0", "3"), ("3", "0")])

@@ -295,6 +295,24 @@ def test_count_star_via_oracle_random():
         assert got == want
 
 
+def test_count_star_asks_the_oracle_once_for_the_plain_count():
+    # One copy of T is D renamed, so the plain count serves as the j = 1
+    # point of every system: 1 + (2^s - 1) * s oracle calls.
+    b = digraph("uvw", [("u", "v"), ("v", "w"), ("w", "u"), ("u", "u")])
+    for free, calls in ((("x",), 2), (("x", "y"), 7)):
+        q = ConjunctiveQuery(digraph("xy", [("x", "y")]), free)
+        bstar = with_pins(random.Random(66), q.structure, b, full=True)
+        seen = []
+
+        def oracle(right, q=q):
+            seen.append(right)
+            return count_answers_brute(q, right)
+
+        assert count_star_via_oracle(q, bstar, oracle) == count_answers_brute(
+            starred_query(q), bstar)
+        assert len(seen) == calls
+
+
 def test_count_star_requires_core():
     # x -> y -> z folds onto a single edge once y is free to move, so the
     # pinned structure is not a core when only x is pinned... build an
@@ -433,6 +451,33 @@ def test_lift_with_isolated_free_vertex():
         lifted_q, lifted_b = lift_to_hypergraph(left, right, target)
         assert set(enumerate_answers(left, right)) == set(
             enumerate_answers(lifted_q, lifted_b))
+
+
+def test_lift_shares_one_table_per_relation():
+    # One binary relation R serves every contract edge of a star: R(v,v) on
+    # a one-leaf edge repeats its variable, and each pair edge holds R(u,v)
+    # and R(v,u), so atoms over different edges read one table of R.
+    rng = random.Random(65)
+    elems = ("d0", "d1", "d2")
+    vocab = Vocabulary({"R": 2})
+    answered = 0
+    for leaves in (2, 3) * 10:
+        target = hypergraph_of(quantified_star_query(leaves))
+        ct = contract(target)
+        atoms = set()
+        for e in ct.edges:
+            u, *rest = sorted(e)
+            v = rest[0] if rest else u
+            atoms |= {(u, v), (v, u)}
+        left = ConjunctiveQuery(RelationalStructure(vocab, tuple(ct.vertices), {"R": atoms}),
+                                tuple(ct.vertices))
+        right = RelationalStructure(vocab, elems, {
+            "R": {t for t in product(elems, repeat=2) if rng.random() < 0.6}})
+        lifted_q, lifted_b = lift_to_hypergraph(left, right, target)
+        want = set(enumerate_answers(left, right))
+        assert set(enumerate_answers(lifted_q, lifted_b)) == want
+        answered += bool(want)
+    assert answered >= 10
 
 
 def test_lift_row_budget():

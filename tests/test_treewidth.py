@@ -96,8 +96,9 @@ def test_exact_treewidth_limit():
         exact_treewidth(clique(17))
     td = decompose(clique(3))
     for call in (exact_treewidth, decompose, lambda obj: verify_decomposition(obj, td)):
-        with pytest.raises(InputError, match="expected a Graph, got tuple"):
-            call(("a", "b"))
+        for obj in (("a", "b"), ["a"]):
+            with pytest.raises(InputError, match=f"expected a Graph, got {type(obj).__name__}"):
+                call(obj)
 
 
 def test_decompose_examples():
