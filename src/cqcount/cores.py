@@ -13,8 +13,9 @@ consistency from the constraints on the variables that lost it. This
 reaches the domains, variable order and first solution that a fresh search
 into the substructure without the candidate would, so the core is the same
 as with one such search per candidate, without rebuilding it each time.
-The rounds work on bare atom lists and tuple sets, each filtered to the
-last retraction's image; one structure is built at the end.
+A candidate whose root domain is itself alone is skipped. The rounds work
+on bare atom lists and tuple sets, each filtered to the last retraction's
+image; one structure is built at the end, not validated again.
 
 The core of a query fixes every free variable by its search domain: a free
 variable starts with itself as its only value, so every endomorphism the
@@ -27,10 +28,11 @@ relation (``augment``) and coring the pinned structure.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .homomorphisms import DEFAULT_CONFIG, HomSearchConfig, _HomSearch
-from .structures import ConjunctiveQuery, RelationalStructure
+from .structures import ConjunctiveQuery, RelationalStructure, _unchecked
 
 
 def _find_retraction(atoms: list, domain: Sequence[str], relations: Mapping[str, frozenset],
@@ -40,9 +42,11 @@ def _find_retraction(atoms: list, domain: Sequence[str], relations: Mapping[str,
         return None
     search = _HomSearch(atoms, domain, relations, domain, start, cfg)
     for v in candidates:
-        h = next(search.avoiding(v).solutions(), None)
-        if h is not None:
-            return h
+        # Unless arc consistency already pins v to itself, which nothing avoids.
+        if search.base[v] != [v]:
+            h = next(search.avoiding(v).solutions(), None)
+            if h is not None:
+                return h
     return None
 
 
@@ -70,11 +74,12 @@ def _shrink(a: RelationalStructure, cfg: HomSearchConfig, candidates: Sequence[s
         image = set(h.values())
         domain = [v for v in domain if v in image]
         atoms = [atom for atom in atoms if image.issuperset(atom[1])]
-        relations = {name: {t for t in ts if image.issuperset(t)}
+        relations = {name: frozenset(t for t in ts if image.issuperset(t))
                      for name, ts in relations.items()}
     if len(domain) == len(a.domain):
         return a
-    return RelationalStructure(a.vocabulary, tuple(domain), relations)
+    return _unchecked(RelationalStructure, vocabulary=a.vocabulary, domain=tuple(domain),
+                      relations=MappingProxyType(relations))
 
 
 def core_of_structure(a: RelationalStructure,
@@ -113,4 +118,5 @@ def core_of_query(q: ConjunctiveQuery,
     if not quantified:
         return q
     core = _shrink(q.structure, cfg, sorted(quantified), q.free_vars)
-    return q if core is q.structure else ConjunctiveQuery(core, q.free_vars)
+    return q if core is q.structure else _unchecked(ConjunctiveQuery, structure=core,
+                                                    free_vars=q.free_vars)

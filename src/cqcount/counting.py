@@ -22,13 +22,14 @@ per query and kept: the core, its S-hypergraph, each S-component's scope
 and the bare sorted atoms and domain of its induced subquery, the core
 atoms over free variables only, the contract graph (sharing the
 hypergraph's all-free edges), its decomposition and the elimination order
-along it. The last 256 such analyses are memoised by (query value,
-search budgets); the core's own decomposition and its star sizes, which
-only the classifier reads, join an analysis on its first classification.
-Nothing that reads the database is cached: a count builds its tables
-straight from the target's tuple sets, and each component's search
-straight from its kept atoms, with no contracted structure or subquery
-in between.
+along it, none of it validated again: the query was, at the API. The
+last 256 such analyses are memoised by (query value, search budgets),
+and each order is kept on its decomposition in ``decompose``'s memo; the
+core's own decomposition and its star sizes, which only the classifier
+reads, join an analysis on its first classification. Nothing that reads
+the database is cached: a count builds its tables straight from the
+target's tuple sets, and each component's search straight from its kept
+atoms, with no contracted structure or subquery in between.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -64,7 +65,7 @@ from .hypergraphs import (
     primal_graph,
     s_components,
 )
-from .structures import ConjunctiveQuery, RelationalStructure, Vocabulary
+from .structures import ConjunctiveQuery, RelationalStructure, Vocabulary, _fresh_names
 from .treewidth import (
     DEFAULT_EXACT_THRESHOLD,
     EXACT,
@@ -81,7 +82,8 @@ CASE_I = "I_tractable"
 CASE_II = "II_clique_equivalent"
 CASE_III = "III_sharp_clique_hard"
 
-COMPONENT_PREFIX = "__comp_"
+# contract_instance's relations: __comp_0, ..., bumped like pin relations.
+COMPONENT_BASE = "__comp"
 
 # Query analyses kept for reuse, least recently used evicted first, as for
 # cores and decompositions.
@@ -138,13 +140,12 @@ def _split(q: ConjunctiveQuery) -> Tuple[SHypergraph, List[SComponent], tuple, t
     h = hypergraph_of(q)
     comps = s_components(h)
     atoms, domain = q.structure.atoms(), q.structure.domain
-    free = frozenset(q.free_vars)
-    free_atoms = tuple(
-        (name, kept)
-        for name, ts in q.structure.relations.items()
-        if (kept := tuple(t for t in ts if free.issuperset(t)))
-    )
-    return h, comps, tuple(_bare_subquery(atoms, domain, c) for c in comps), free_atoms
+    free_atoms: Dict[str, list] = {}
+    for name, t in atoms:
+        if h.s_set.issuperset(t):
+            free_atoms.setdefault(name, []).append(t)
+    return (h, comps, tuple(_bare_subquery(atoms, domain, c) for c in comps),
+            tuple(free_atoms.items()))
 
 
 def _projection(component: Tuple[tuple, list, tuple], dst: RelationalStructure,
@@ -191,7 +192,9 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     normally pass a core query, but the equivalence holds for any query.
     A query without quantified variables has no S-component and is returned
     unchanged, together with ``dst``. The components and all-free atoms
-    come from ``_split``, the same split a count reads of its core.
+    come from ``_split``, the same split a count reads of its core. The
+    component relations are ``__comp_0``, ``__comp_1``, ..., with the
+    prefix bumped (``__comp1_``, ...) if the query uses such a name.
     """
     check_vocabulary(q.structure, dst)
     _, comps, subqueries, free_atoms = _split(q)
@@ -200,9 +203,10 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     left_symbols = dict(q.structure.vocabulary.symbols)
     left_rels = dict(free_atoms)  # a relation left out is empty
     right_rels: Dict[str, frozenset] = {name: dst.tuples(name) for name in left_symbols}
-    for i, subquery in enumerate(subqueries):
+    names = _fresh_names(q.structure.vocabulary, COMPONENT_BASE,
+                         [str(i) for i in range(len(comps))])
+    for name, subquery in zip(names.values(), subqueries):
         scope, rows = _projection(subquery, dst, cfg.hom)
-        name = f"{COMPONENT_PREFIX}{i}"
         left_symbols[name] = len(scope)
         left_rels[name] = frozenset({scope})
         right_rels[name] = frozenset(rows)
@@ -335,32 +339,6 @@ def _absorb(message: Tuple[tuple, dict], buckets: List[Optional[list]],
     return message
 
 
-def _elimination_order(td: TreeDecomposition) -> List[str]:
-    """Variables ordered bottom-up along the decomposition rooted at bag 0.
-
-    Each variable goes at its bag nearest the root, and bags come children
-    first, so every variable's later neighbours lie in that one bag.
-    """
-    adj: Dict[int, List[int]] = {i: [] for i in range(len(td.bags))}
-    for i, j in td.tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    top_down = [0]
-    seen = {0}
-    for i in top_down:
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                top_down.append(j)
-    placed = set()
-    levels = []
-    for i in top_down:
-        fresh = sorted(td.bags[i] - placed)
-        placed.update(fresh)
-        levels.append(fresh)
-    return [v for level in reversed(levels) for v in level]
-
-
 def _relation_factors(atoms: Iterable[Tuple[str, Iterable[tuple]]],
                       dst: RelationalStructure) -> Iterator[Tuple[tuple, dict]]:
     """One factor per atom; a relation with atoms builds one target table, which they share."""
@@ -430,7 +408,7 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
     check_vocabulary(q.structure, dst)
     verify_decomposition(primal_graph(hypergraph_of(q)), td)
     return _sum_product(_relation_factors(q.structure.relations.items(), dst),
-                        _elimination_order(td), len(dst.domain))
+                        td.elimination_order, len(dst.domain))
 
 
 class _Analysis:
@@ -442,10 +420,11 @@ class _Analysis:
     only builds the search that reads the target, and ``free_atoms`` holds,
     per relation, the core atoms whose variables are all free. ``order``
     eliminates the variables of the contract graph bottom-up along
-    ``contract_td``. The contract graph shares its all-free edges with the
-    hypergraph, and is the hypergraph itself when there is no S-component.
-    The core's own decomposition and its star sizes are computed on first
-    use, so a count never pays for them.
+    ``contract_td``, and comes with it from ``decompose``'s memo. The
+    contract graph shares its all-free edges with the hypergraph, and is
+    the hypergraph itself, decomposition included, when there is no
+    S-component. The core's own decomposition and its star sizes are
+    computed on first use, so a count never pays for them.
     """
 
     def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig):
@@ -453,10 +432,12 @@ class _Analysis:
         self.hypergraph, self._comps, self.components, self.free_atoms = _split(self.core)
         self.contract_graph = _contract(self.hypergraph, self._comps)
         self.contract_td = decompose(primal_graph(self.contract_graph))
-        self.order = _elimination_order(self.contract_td)
+        self.order = self.contract_td.elimination_order
 
     @cached_property
     def core_td(self) -> TreeDecomposition:
+        if not self._comps:
+            return self.contract_td
         return decompose(primal_graph(self.hypergraph))
 
     @cached_property

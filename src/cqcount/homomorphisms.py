@@ -144,17 +144,17 @@ class _HomSearch:
     """
 
     def __init__(self, atoms: Sequence[Tuple[str, tuple]], src_domain: Sequence[str],
-                 relations: Mapping[str, frozenset], dst_domain: Iterable[str],
+                 relations: Mapping[str, frozenset], dst_domain: Sequence[str],
                  start: Optional[Mapping[str, Sequence[str]]] = None,
                  cfg: HomSearchConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        self.src_domain = set(src_domain)
-        self.dst_domain = set(dst_domain)
-        values = sorted(self.dst_domain)
+        self.src_domain = src_domain
+        self.dst_domain = dst_domain
+        values = sorted(dst_domain)
         start = start or {}
         self.base = {v: list(start.get(v, values)) for v in src_domain}
         # An empty target leaves no value for any source variable.
-        self.feasible = bool(values) or not self.src_domain
+        self.feasible = bool(values) or not self.base
         self.constraints = []
         # Variable -> indices of the constraints it occurs in.
         self.watch = {v: [] for v in src_domain}
@@ -273,12 +273,13 @@ class _HomSearch:
         variable's domain has no solutions.
         """
         pins = dict(pins or {})
-        bad_keys = sorted(set(pins) - self.src_domain)
-        if bad_keys:
-            raise InputError(f"pinned variables {bad_keys!r} are not in the source domain")
-        bad_vals = sorted(set(pins.values()) - self.dst_domain)
-        if bad_vals:
-            raise InputError(f"pinned values {bad_vals!r} are not in the target domain")
+        if pins:
+            bad_keys = sorted(set(pins).difference(self.src_domain))
+            if bad_keys:
+                raise InputError(f"pinned variables {bad_keys!r} are not in the source domain")
+            bad_vals = sorted(set(pins.values()).difference(self.dst_domain))
+            if bad_vals:
+                raise InputError(f"pinned values {bad_vals!r} are not in the target domain")
         if not self.feasible or any(b not in self.base[v] for v, b in pins.items()):
             return iter(())
         pinned = tuple(sorted(pins))

@@ -4,6 +4,9 @@ The S-hypergraph of a query has the query variables as vertices, one edge
 per atom (the set of variables it mentions), and the free variables as the
 distinguished set S. Connectivity is edge-induced: two vertices are
 adjacent iff some edge contains both.
+
+The ``SHypergraph`` and ``Graph`` constructors validate their input; what
+is derived here from a validated query or hypergraph is not validated again.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .errors import InputError, ResourceBudgetError
-from .structures import ConjunctiveQuery
+from .structures import ConjunctiveQuery, _unchecked
 
 # Most free vertices per S-component: bounds the independent-set recursion.
 STAR_SIZE_CAP = 20
@@ -99,19 +102,19 @@ def hypergraph_of(q: ConjunctiveQuery) -> SHypergraph:
 
     Duplicate edges collapse; 0-ary atoms contribute no edge.
     """
-    edges = {
-        frozenset(t)
-        for ts in q.structure.relations.values()
-        for t in ts
-        if t
-    }
-    return SHypergraph(q.structure.domain, frozenset(edges), frozenset(q.free_vars))
+    edges = frozenset({frozenset(t) for ts in q.structure.relations.values() for t in ts if t})
+    return _unchecked(SHypergraph, vertices=q.structure.domain, edges=edges,
+                      s_set=frozenset(q.free_vars))
 
 
 def s_components(h: SHypergraph) -> List[SComponent]:
-    """The S-components, ordered by their smallest quantified vertex."""
-    quantified = [v for v in h.vertices if v not in h.s_set]
-    parent = {v: v for v in quantified}
+    """The S-components, ordered by their smallest quantified vertex.
+
+    One union-find pass over the edges notes each edge under its first
+    quantified vertex; each component takes the edges noted under its members.
+    """
+    s_set = h.s_set
+    parent: Dict[str, str] = {}
 
     def find(v):
         while parent[v] != v:
@@ -119,28 +122,33 @@ def s_components(h: SHypergraph) -> List[SComponent]:
             v = parent[v]
         return v
 
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-
+    noted = []
     for e in h.edges:
-        inside = sorted(v for v in e if v not in h.s_set)
+        inside = [v for v in e if v not in s_set]
+        if not inside:
+            continue
+        root = find(parent.setdefault(inside[0], inside[0]))
         for other in inside[1:]:
-            union(inside[0], other)
+            r = find(parent.setdefault(other, other))
+            if r != root:
+                parent[r] = root
+        noted.append((inside[0], e))
 
-    groups: Dict[str, set] = {}
-    for v in quantified:
-        groups.setdefault(find(v), set()).add(v)
+    groups: Dict[str, Tuple[list, list]] = {}
+    for v in h.vertices:
+        if v not in s_set:
+            groups.setdefault(find(v) if v in parent else v, ([], []))[0].append(v)
+    for v, e in noted:
+        groups[find(v)][1].append(e)
 
     comps = []
-    for group in sorted(groups.values(), key=min):
-        core = frozenset(group)
-        touched = frozenset(e for e in h.edges if e & core)
+    for core, touched in sorted(groups.values(), key=lambda group: min(group[0])):
+        touched = frozenset(touched)
         # An isolated quantified vertex has no touched edges; its closure is
         # the empty union, per the definition.
-        closure = frozenset().union(*touched) if touched else frozenset()
-        comps.append(SComponent(core, touched, closure, tuple(sorted(closure & h.s_set))))
+        closure = frozenset().union(*touched)
+        comps.append(SComponent(frozenset(core), touched, closure,
+                                tuple(sorted(closure & s_set))))
     return comps
 
 
@@ -223,15 +231,15 @@ def _contract(h: SHypergraph, comps: List[SComponent]) -> SHypergraph:
             for v in comp.free_scope[i + 1:]:
                 new_edges.add(frozenset((u, v)))
     verts = tuple(v for v in h.vertices if v in s_set)
-    return SHypergraph(verts, frozenset(new_edges), s_set)
+    return _unchecked(SHypergraph, vertices=verts, edges=frozenset(new_edges), s_set=s_set)
 
 
 def primal_graph(h: SHypergraph) -> Graph:
     """Vertices of ``h`` with an edge for every pair sharing a hyperedge."""
     pairs = set()
     for e in h.edges:
-        inside = sorted(e)
+        inside = tuple(e)
         for i, u in enumerate(inside):
             for v in inside[i + 1:]:
                 pairs.add(frozenset((u, v)))
-    return Graph(tuple(sorted(h.vertices)), frozenset(pairs))
+    return _unchecked(Graph, vertices=tuple(sorted(h.vertices)), edges=frozenset(pairs))

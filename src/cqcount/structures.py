@@ -20,20 +20,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import InputError
 
 # User-facing relation names may not start with "__"; that prefix is
 # reserved for relations the library adds itself. Pinning relations (one
 # singleton unary per element, shared by augment and star_structure) live
-# under "__aug"; the numeric bump keeps them fresh if a structure already
+# under "__aug", and contract_instance's component relations under
+# "__comp"; the numeric bump keeps them fresh if a structure already
 # carries such names.
 RESERVED_PREFIX = "__"
 PIN_PREFIX_BASE = "__aug"
 
 # A (partial) map from query variables to target elements.
 Assignment = Dict[str, str]
+
+
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` with these fields, skipping ``__post_init__``.
+
+    Only for values derived from validated ones, each field already in normal form.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -167,13 +178,13 @@ def induced_substructure(a: RelationalStructure, keep: Iterable) -> RelationalSt
     return RelationalStructure(a.vocabulary, dom, rels)
 
 
-def _pin_names(vocab: Vocabulary, elements: Tuple[str, ...]) -> Dict[str, str]:
-    # Deterministic fresh names: bump the prefix until nothing collides.
+def _fresh_names(vocab: Vocabulary, base: str, keys: Sequence[str]) -> Dict[str, str]:
+    """Names ``<base>_<key>``, the prefix bumped (``<base>1_``, ...) until none is in ``vocab``."""
     existing = set(vocab.symbols)
     bump = 0
     while True:
-        prefix = PIN_PREFIX_BASE + (str(bump) if bump else "") + "_"
-        names = {e: prefix + e for e in elements}
+        prefix = base + (str(bump) if bump else "") + "_"
+        names = {k: prefix + k for k in keys}
         if not set(names.values()) & existing:
             return names
         bump += 1
@@ -185,11 +196,11 @@ def pin_relation_names(a: RelationalStructure) -> Dict[str, str]:
     Exposed so callers building companion structures over the extended
     vocabulary (for the interpolation reduction) use identical names.
     """
-    return _pin_names(a.vocabulary, a.domain)
+    return _fresh_names(a.vocabulary, PIN_PREFIX_BASE, a.domain)
 
 
 def _with_pins(a: RelationalStructure, elements: Tuple[str, ...]) -> RelationalStructure:
-    names = _pin_names(a.vocabulary, elements)
+    names = _fresh_names(a.vocabulary, PIN_PREFIX_BASE, elements)
     symbols = dict(a.vocabulary.symbols)
     rels = dict(a.relations)
     for e in elements:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
 from .errors import InputError
@@ -47,6 +47,34 @@ class TreeDecomposition:
     tree_edges: frozenset
     width: int
     exactness: str
+
+    @cached_property
+    def elimination_order(self) -> Tuple[str, ...]:
+        """Variables ordered bottom-up along the decomposition rooted at bag 0.
+
+        Each variable goes at its bag nearest the root, and bags come
+        children first, so every variable's later neighbours lie in that one
+        bag. Computed on first use and kept with the decomposition, so a
+        decomposition from ``decompose``'s memo brings its order along.
+        """
+        adj: Dict[int, List[int]] = {i: [] for i in range(len(self.bags))}
+        for i, j in self.tree_edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        top_down = [0]
+        seen = {0}
+        for i in top_down:
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    top_down.append(j)
+        placed = set()
+        levels = []
+        for i in top_down:
+            fresh = sorted(self.bags[i] - placed)
+            placed.update(fresh)
+            levels.append(fresh)
+        return tuple(v for level in reversed(levels) for v in level)
 
 
 def _require_graph(obj: Graph) -> Graph:

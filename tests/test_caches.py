@@ -34,17 +34,19 @@ from cqcount import (
     count_answers_brute,
     decompose,
     hypergraph_of,
+    induced_substructure,
     parse_query,
     primal_graph,
+    s_components,
     star_sizes,
 )
 from cqcount import counting
 from cqcount.cli import main
 from cqcount.cores import CORE_CACHE_SIZE
 from cqcount.counting import MODE_AUTO, MODE_STRUCTURAL, _analyse
-from cqcount.generators import random_instance
-from cqcount.hypergraphs import Graph
-from cqcount.treewidth import DECOMPOSITION_CACHE_SIZE, EXACT, _decompose
+from cqcount.generators import random_instance, redundant_variant
+from cqcount.hypergraphs import Graph, SHypergraph
+from cqcount.treewidth import DECOMPOSITION_CACHE_SIZE, EXACT, TreeDecomposition, _decompose
 
 CONFIGS = [CountingConfig(mode=mode) for mode in (MODE_AUTO, MODE_STRUCTURAL)]
 
@@ -101,7 +103,8 @@ def test_cold_and_warm_caches_agree_with_uncached(cfg):
 
 def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
     # Only the core's own graph is decomposed anew, and only when the core
-    # has quantified variables; otherwise it is the contract graph.
+    # has quantified variables; otherwise it is the contract graph, whose
+    # decomposition the count already holds.
     graphs = []
     real_decompose = counting.decompose
 
@@ -122,7 +125,7 @@ def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
         report = classify(q)
         quantified = bool(report.core_query.quantified_vars)
         assert core_of_query.cache_info() == cores
-        assert graphs == [primal_graph(hypergraph_of(report.core_query))]
+        assert graphs == [primal_graph(hypergraph_of(report.core_query))] * quantified
         assert _decompose.cache_info().misses == computed + quantified
         graphs.clear()
         assert classify(q) == report and not graphs
@@ -131,22 +134,108 @@ def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
 
 
 def test_warm_counts_build_no_structures(monkeypatch):
-    # two S-components: {x} reaching a and b, {c} reaching a
-    q = parse_query("answer(a,b) :- E(x,a), E(x,b), E(a,c).")
+    # two S-components: {x} reaching a and b, {c} reaching a; the core
+    # folds d onto c
+    q = parse_query("answer(a,b) :- E(x,a), E(x,b), E(a,c), E(a,d).")
     b = digraph("pqrs", [("p", "q"), ("p", "r"), ("q", "s"), ("r", "r"), ("s", "p")])
     want = count_answers_brute(q, b)
-    assert count_answers(q, b, CountingConfig(mode=MODE_STRUCTURAL)) == want
     built = Counter()
-    for cls in (RelationalStructure, Vocabulary, ConjunctiveQuery):
+    for cls in (RelationalStructure, Vocabulary, ConjunctiveQuery, SHypergraph, Graph):
         def counted(self, real=cls.__post_init__):
             built[type(self).__name__] += 1
             real(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
+    # cold: the core and its graphs are built without re-validation
+    assert count_answers(q, b, CountingConfig(mode=MODE_STRUCTURAL)) == want
+    core = core_of_query(q)
+    assert len(core.structure.domain) < len(q.structure.domain)
     assert count_answers(q, b, CountingConfig(mode=MODE_STRUCTURAL)) == want
     assert not built
     # the contracted instance the count no longer builds
-    contract_instance(core_of_query(q), b)
+    contract_instance(core, b)
     assert set(built) == {"RelationalStructure", "Vocabulary", "ConjunctiveQuery"}
+
+
+def with_zero_ary_atom(q):
+    """``q`` plus the 0-ary atom Z()."""
+    vocab = Vocabulary({**q.structure.vocabulary.symbols, "Z": 0})
+    structure = RelationalStructure(vocab, q.structure.domain,
+                                    {**q.structure.relations, "Z": {()}})
+    return ConjunctiveQuery(structure, q.free_vars)
+
+
+def connected_quantified(q):
+    """The quantified variables grouped by shared atoms, by search from each in sorted order."""
+    quantified = set(q.quantified_vars)
+    groups = []
+    for v in sorted(quantified):
+        if any(v in group for group in groups):
+            continue
+        group, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for _, t in q.structure.atoms():
+                if u in t:
+                    new = set(t) & quantified - group
+                    group |= new
+                    frontier.extend(new)
+        groups.append(group)
+    return groups
+
+
+def split_by_public_steps(q):
+    """What ``counting._split`` returns, from the public step functions."""
+    h = hypergraph_of(q)
+    comps = s_components(h)
+    subqueries = []
+    for comp in comps:
+        sub = induced_substructure(q.structure, comp.closure | comp.component_core)
+        subqueries.append((comp.free_scope, sub.atoms(), sub.domain))
+    free = set(q.free_vars)
+    free_atoms = {name: {t for t in ts if free.issuperset(t)}
+                  for name, ts in q.structure.relations.items()}
+    return h, comps, subqueries, {name: ts for name, ts in free_atoms.items() if ts}
+
+
+def test_one_pass_analysis_matches_the_public_steps():
+    rng = random.Random(87)
+    cfg = CountingConfig()
+    seen = set()
+    for trial in range(150):
+        q, _ = random_instance(rng, max_vars=6, max_free=3, max_target=4)
+        if trial % 3 == 1:
+            q = redundant_variant(rng, q)
+        if trial % 4 == 2:
+            q = with_zero_ary_atom(q)
+        analysis = _analyse(q, cfg.hom)
+        core = core_of_query.__wrapped__(q, cfg.hom)
+        assert analysis.core == core
+        for query in (q, core):
+            h, comps, subqueries, free_atoms = counting._split(query)
+            want = split_by_public_steps(query)
+            assert (h, comps, list(subqueries)) == want[:3]
+            assert {name: set(ts) for name, ts in free_atoms} == want[3]
+            assert [c.component_core for c in comps] == connected_quantified(query)
+            atoms = query.structure.atoms()
+            if any(not t for _, t in atoms):
+                seen.add("0-ary atom")
+            if any(len(set(t)) < len(t) for _, t in atoms):
+                seen.add("repeated variable")
+            if set(query.quantified_vars) - {v for _, t in atoms for v in t}:
+                seen.add("isolated quantified variable")
+            if not query.free_vars:
+                seen.add("Boolean query")
+        h, comps, subqueries, _ = split_by_public_steps(core)
+        assert (analysis.hypergraph, analysis._comps, list(analysis.components)) == (
+            h, comps, subqueries)
+        assert analysis.contract_graph == contract(h)
+        td = _decompose.__wrapped__(primal_graph(contract(h)))
+        assert (analysis.contract_td.width, analysis.contract_td.exactness) == (
+            td.width, td.exactness)
+        assert analysis.order == TreeDecomposition.elimination_order.func(td)
+        assert classify(q, cfg=cfg).to_json_dict() == uncached_report(q, cfg)
+    assert seen == {"0-ary atom", "repeated variable", "isolated quantified variable",
+                    "Boolean query"}
 
 
 def test_decompositions_match_uncached():

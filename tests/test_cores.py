@@ -38,7 +38,7 @@ from cqcount.generators import (
     random_vocabulary,
     redundant_variant,
 )
-from cqcount.homomorphisms import _search
+from cqcount.homomorphisms import _HomSearch, _search
 from cqcount.structures import _with_pins
 
 TRIANGLE = undirected("abc", [("a", "b"), ("b", "c"), ("c", "a")])
@@ -237,10 +237,17 @@ def test_arc_consistency_reaches_the_greatest_fixpoint():
     assert wiped >= 20
 
 
-def test_shared_search_matches_per_candidate_reference():
+def test_shared_search_matches_per_candidate_reference(monkeypatch):
     rng = random.Random(35)
     cfg = HomSearchConfig()
     shrunk = 0
+    pinned = 0
+    avoided = []
+    real_avoiding = _HomSearch.avoiding
+
+    def recording(self, value):
+        avoided.append(self.base[value])
+        return real_avoiding(self, value)
     for _ in range(150):
         a = random_structure(rng, random_vocabulary(rng), max_elements=6)
         order = sorted(a.domain)
@@ -266,10 +273,20 @@ def test_shared_search_matches_per_candidate_reference():
         q = random_query(rng, max_vars=7, max_free=3, max_atoms=6)
         if rng.random() < 0.5:
             q = redundant_variant(rng, q)
-        core = core_of_query(q, cfg)
+        # A candidate that root arc consistency pins to itself cannot be
+        # avoided, and is skipped without a view.
+        first = _HomSearch(q.structure.atoms(), q.structure.domain, q.structure.relations,
+                           q.structure.domain, {v: [v] for v in q.free_vars}, cfg)
+        pinned += sum(first.base[v] == [v] for v in q.quantified_vars)
+        avoided.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_HomSearch, "avoiding", recording)
+            core = core_of_query(q, cfg)
+        assert all(len(domain) > 1 for domain in avoided)
         assert core == reference_core_of_query(q, cfg)
         shrunk += len(core.structure.domain) < len(q.structure.domain)
     assert shrunk >= 20
+    assert pinned >= 20
 
 
 def equivalent_fixing_free(q, sub):

@@ -16,6 +16,7 @@ from cqcount import (
     RelationalStructure,
     ResourceBudgetError,
     TrichotomyReport,
+    Vocabulary,
     classify,
     component_projection,
     contract,
@@ -36,7 +37,6 @@ from cqcount import (
 )
 from cqcount import counting
 from cqcount.cli import main
-from cqcount.counting import COMPONENT_PREFIX
 from cqcount.generators import (
     boolean_clique_query,
     clique_graph,
@@ -118,7 +118,7 @@ def test_contract_instance_star():
     star = quantified_star_query(3)
     b = digraph("uv", [("u", "u"), ("u", "v")])
     left, right = contract_instance(star, b)
-    fresh = f"{COMPONENT_PREFIX}0"
+    fresh = "__comp_0"
     assert left.structure.vocabulary.arity(fresh) == 3
     assert left.structure.tuples(fresh) == frozenset({("s1", "s2", "s3")})
     assert left.structure.tuples("E") == frozenset()
@@ -136,7 +136,7 @@ def test_contract_instance_wider_than_user_arities():
     star = quantified_star_query(9)
     b = digraph("uvw", [("u", "u"), ("u", "v"), ("w", "w")])
     left, right = contract_instance(star, b)
-    fresh = f"{COMPONENT_PREFIX}0"
+    fresh = "__comp_0"
     assert left.structure.vocabulary.arity(fresh) == 9
     assert len(right.tuples(fresh)) == 2 ** 9 + 1
     assert count_answers(star, b, STRUCTURAL) == 2 ** 9 + 1
@@ -154,7 +154,7 @@ def test_star_over_the_star_size_cap_is_counted():
 def test_contract_instance_boolean_components():
     q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ())
     left, right = contract_instance(q, TRIANGLE)
-    fresh = f"{COMPONENT_PREFIX}0"
+    fresh = "__comp_0"
     assert left.structure.vocabulary.arity(fresh) == 0
     assert count_quantifier_free_td(left, right, decompose(primal_graph(hypergraph_of(left)))) == 1
     assert hom_exists(q.structure, TRIANGLE)
@@ -187,7 +187,7 @@ def test_contract_instance_matches_naive_oracle():
             left, right = contract_instance(query, b)
             assert naive_answer_set(left, right) == naive_answer_set(q, b)
             arities = left.structure.vocabulary.symbols
-            if any(arities[n] == 0 for n in arities if n.startswith(COMPONENT_PREFIX)):
+            if any(arities[n] == 0 for n in arities if n.startswith("__comp_")):
                 seen.add("boolean component")
         if set(q.quantified_vars) - used:
             seen.add("isolated quantified variable")
@@ -197,6 +197,22 @@ def test_contract_instance_matches_naive_oracle():
             seen.add("empty target domain")
     assert seen == {"boolean component", "isolated quantified variable",
                     "repeated variable", "empty target domain"}
+
+
+def test_contract_instance_keeps_a_query_relation_named_like_a_component():
+    # Only the parser and the database loader reject "__" names; the Python
+    # API accepts them, so the component relation needs a fresh name.
+    vocab = Vocabulary({"E": 2, "__comp_0": 1})
+    q = ConjunctiveQuery(RelationalStructure(
+        vocab, ("x", "a", "b"), {"E": {("x", "a")}, "__comp_0": {("b",)}}), ("a", "b"))
+    b = RelationalStructure(vocab, ("p", "q", "r"),
+                            {"E": {("p", "q"), ("q", "r")}, "__comp_0": {("p",)}})
+    assert count_answers_brute(q, b) == 2
+    left, right = contract_instance(q, b)
+    assert count_answers_brute(left, right) == 2
+    assert left.structure.tuples("__comp_0") == frozenset({("b",)})
+    assert right.tuples("__comp_0") == frozenset({("p",)})
+    assert left.structure.tuples("__comp1_0") == frozenset({("a",)})
 
 
 def test_contracted_hypergraph_matches_contract_of_core():
@@ -645,17 +661,33 @@ def test_classify_matches_separate_decompositions():
     assert {label for _, _, label in kinds} == {CASE_I, CASE_II, CASE_III}
 
 
-def test_classify_decomposes_a_quantifier_free_core_once():
+def test_classify_decomposes_a_quantifier_free_core_once(monkeypatch):
+    # A core without quantified variables is its own contract graph: its
+    # contract decomposition is its core decomposition, asked for once.
+    graphs = []
+    real_decompose = counting.decompose
+
+    def recording(g):
+        graphs.append(g)
+        return real_decompose(g)
+
     def computed():
         return _decompose.cache_info().misses
 
-    classify(quantifier_free_path_query(4))
+    monkeypatch.setattr(counting, "decompose", recording)
+    path = quantifier_free_path_query(4)
+    classify(path)
     assert computed() == 1
+    assert graphs == [primal_graph(hypergraph_of(path))]
     # y and z fold onto each other, but y stays quantified in the core
     forked = ConjunctiveQuery(
         digraph("xyz", [("x", "y"), ("x", "z")]), ("x",))
-    assert classify(forked).core_query.quantified_vars
+    graphs.clear()
+    report = classify(forked)
+    assert report.core_query.quantified_vars
     assert computed() == 3
+    core_graph = primal_graph(hypergraph_of(report.core_query))
+    assert graphs == [primal_graph(contract(hypergraph_of(report.core_query))), core_graph]
 
 
 def test_report_consistency_invariant():
