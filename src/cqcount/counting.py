@@ -8,28 +8,26 @@ S-hypergraph), then count by sparse sum-product variable elimination
 (bucket elimination) along a tree decomposition of that graph: each atom
 is a table of the target tuples it matches, each component a table of its
 projection, and eliminating a variable joins the tables that mention it
-and sums it out. Joins filter before they grow: a bucket starts from its
-largest table and next joins the table adding the fewest new variables,
-and the starting table, each intermediate product and the summed message
-absorb every pending table whose variables they cover. A bucket holding
-one table is summed out in one pass, and atoms of one relation with
-distinct variables share one table; no table is modified once built. An
-instance whose contract is wider than ``CountingConfig.width_cap`` is
-counted by brute force in auto mode, and refused in structural mode.
+and sums it out, in the filter-first order that ``_join_sum_out`` and
+``_absorb`` describe. Atoms of one relation with distinct variables share
+one table; no table is modified once built. An instance whose contract is
+wider than ``CountingConfig.width_cap`` is counted by brute force in auto
+mode, and refused in structural mode.
 
 What counting and classifying read of the query alone is worked out once
-per query and kept: the core, its S-hypergraph, each S-component's scope
-and the bare sorted atoms and domain of its induced subquery, the core
-atoms over free variables only, the contract graph (sharing the
-hypergraph's all-free edges), its decomposition and the elimination order
-along it, none of it validated again: the query was, at the API. The
-last 256 such analyses are memoised by (query value, search budgets),
-and each order is kept on its decomposition in ``decompose``'s memo; the
-core's own decomposition and its star sizes, which only the classifier
-reads, join an analysis on its first classification. Nothing that reads
-the database is cached: a count builds its tables straight from the
-target's tuple sets, and each component's search straight from its kept
-atoms, with no contracted structure or subquery in between.
+per query and kept: the core, its S-hypergraph (which finds its
+S-components once and keeps them), each S-component's scope and the bare
+sorted atoms and domain of its induced subquery, the core atoms over free
+variables only, the contract graph (sharing the hypergraph's all-free
+edges), its decomposition and the elimination order along it, none of it
+validated again: the query was, at the API. The last 256 such analyses
+are memoised by (query value, search budgets), and each order is kept on
+its decomposition in ``decompose``'s memo; the core's own decomposition
+and its star sizes, which only the classifier reads, join an analysis on
+its first classification. Nothing that reads the database is cached: a
+count builds its tables straight from the target's tuple sets, and each
+component's search straight from its kept atoms, with no contracted
+structure or subquery in between.
 
 The classifier measures where a single query lands relative to
 user-supplied width bounds. The bounds-based label is advisory: the
@@ -45,25 +43,24 @@ from operator import itemgetter
 from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import core_of_query
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, ResourceBudgetError, _check_int
 from .homomorphisms import (
     HomSearchConfig,
     _HomSearch,
     _answers,
     _atom_factor,
     _check_candidates,
-    _check_int,
     check_vocabulary,
     count_answers_brute,
 )
 from .hypergraphs import (
     SComponent,
     SHypergraph,
-    _contract,
-    _star_sizes,
+    contract,
     hypergraph_of,
     primal_graph,
     s_components,
+    star_sizes,
 )
 from .structures import ConjunctiveQuery, RelationalStructure, Vocabulary, _fresh_names
 from .treewidth import (
@@ -131,20 +128,20 @@ def _bare_subquery(atoms: List[Tuple[str, tuple]], domain: Sequence[str],
             tuple(v for v in domain if v in keep))
 
 
-def _split(q: ConjunctiveQuery) -> Tuple[SHypergraph, List[SComponent], tuple, tuple]:
-    """The query's S-hypergraph, S-components, their ``_bare_subquery``s and all-free atoms.
+def _split(q: ConjunctiveQuery) -> Tuple[SHypergraph, tuple, tuple]:
+    """The query's S-hypergraph, its S-components' ``_bare_subquery``s and its all-free atoms.
 
-    The all-free atoms, 0-ary ones included, are grouped per relation that
-    has any. Counting splits the core, ``contract_instance`` its own query.
+    The subqueries follow the order of ``s_components``. The all-free
+    atoms, 0-ary ones included, are grouped per relation that has any.
+    Counting splits the core, ``contract_instance`` its own query.
     """
     h = hypergraph_of(q)
-    comps = s_components(h)
     atoms, domain = q.structure.atoms(), q.structure.domain
     free_atoms: Dict[str, list] = {}
     for name, t in atoms:
         if h.s_set.issuperset(t):
             free_atoms.setdefault(name, []).append(t)
-    return (h, comps, tuple(_bare_subquery(atoms, domain, c) for c in comps),
+    return (h, tuple(_bare_subquery(atoms, domain, c) for c in s_components(h)),
             tuple(free_atoms.items()))
 
 
@@ -191,20 +188,20 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     answer sets of (q, dst) and of the result coincide exactly. Callers
     normally pass a core query, but the equivalence holds for any query.
     A query without quantified variables has no S-component and is returned
-    unchanged, together with ``dst``. The components and all-free atoms
-    come from ``_split``, the same split a count reads of its core. The
+    unchanged, together with ``dst``. The component subqueries and all-free
+    atoms come from ``_split``, the same split a count reads of its core. The
     component relations are ``__comp_0``, ``__comp_1``, ..., with the
     prefix bumped (``__comp1_``, ...) if the query uses such a name.
     """
     check_vocabulary(q.structure, dst)
-    _, comps, subqueries, free_atoms = _split(q)
-    if not comps:
+    _, subqueries, free_atoms = _split(q)
+    if not subqueries:
         return q, dst
     left_symbols = dict(q.structure.vocabulary.symbols)
     left_rels = dict(free_atoms)  # a relation left out is empty
     right_rels: Dict[str, frozenset] = {name: dst.tuples(name) for name in left_symbols}
     names = _fresh_names(q.structure.vocabulary, COMPONENT_BASE,
-                         [str(i) for i in range(len(comps))])
+                         [str(i) for i in range(len(subqueries))])
     for name, subquery in zip(names.values(), subqueries):
         scope, rows = _projection(subquery, dst, cfg.hom)
         left_symbols[name] = len(scope)
@@ -395,13 +392,9 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
     bottom-up along the decomposition: the factors mentioning a variable
     are joined and the variable is summed out, so every intermediate table
     lies within one bag and holds only rows that match the atoms joined
-    into it. The join order is filter-first: each bucket starts from its
-    largest factor and next takes the one adding the fewest new variables.
-    The starting factor, every intermediate product and the summed message
-    each absorb the pending factors within their scope, so covered atoms
-    cut tables before later joins extend them. A bucket with one factor is
-    summed out without a join. A variable in no atom contributes a factor
-    |target domain|; a 0-ary atom contributes 1 or 0.
+    into it, in the filter-first order ``_join_sum_out`` describes. A
+    variable in no atom contributes a factor |target domain|; a 0-ary atom
+    contributes 1 or 0.
     """
     if set(q.free_vars) != set(q.structure.domain):
         raise InputError("count_quantifier_free_td expects a quantifier-free query")
@@ -414,35 +407,35 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
 class _Analysis:
     """What counting and classifying read of one query, apart from any target.
 
-    The core's ``_split`` gives its hypergraph, its S-components and two
-    bare lists: ``components`` holds, per S-component, its free scope and
-    the sorted atoms and domain of its induced subquery, so that a count
-    only builds the search that reads the target, and ``free_atoms`` holds,
-    per relation, the core atoms whose variables are all free. ``order``
-    eliminates the variables of the contract graph bottom-up along
-    ``contract_td``, and comes with it from ``decompose``'s memo. The
-    contract graph shares its all-free edges with the hypergraph, and is
-    the hypergraph itself, decomposition included, when there is no
-    S-component. The core's own decomposition and its star sizes are
-    computed on first use, so a count never pays for them.
+    The core's ``_split`` gives its hypergraph, which keeps its
+    S-components, and two bare lists: ``components`` holds, per
+    S-component, its free scope and the sorted atoms and domain of its
+    induced subquery, so that a count only builds the search that reads
+    the target, and ``free_atoms`` holds, per relation, the core atoms whose
+    variables are all free. A count eliminates the contract graph's
+    variables in ``contract_td.elimination_order``, which comes with the
+    decomposition from ``decompose``'s memo. The contract graph shares its
+    all-free edges with the hypergraph, and is the hypergraph itself,
+    decomposition included, when there is no S-component. The core's own
+    decomposition and its star sizes are computed on first use, so a count
+    never pays for them.
     """
 
     def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig):
         self.core = core_of_query(q, hom)
-        self.hypergraph, self._comps, self.components, self.free_atoms = _split(self.core)
-        self.contract_graph = _contract(self.hypergraph, self._comps)
+        self.hypergraph, self.components, self.free_atoms = _split(self.core)
+        self.contract_graph = contract(self.hypergraph)
         self.contract_td = decompose(primal_graph(self.contract_graph))
-        self.order = self.contract_td.elimination_order
 
     @cached_property
     def core_td(self) -> TreeDecomposition:
-        if not self._comps:
+        if not self.components:
             return self.contract_td
         return decompose(primal_graph(self.hypergraph))
 
     @cached_property
     def star_sizes(self) -> Tuple[int, int]:
-        return _star_sizes(self._comps)
+        return star_sizes(self.hypergraph)
 
 
 @lru_cache(maxsize=ANALYSIS_CACHE_SIZE)
@@ -472,14 +465,14 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
     check_vocabulary(q.structure, dst)
     if cfg.mode != MODE_BRUTE:
         analysis = _analyse(q, cfg.hom)
-        width = analysis.contract_td.width
-        if width <= cfg.width_cap:
+        td = analysis.contract_td
+        if td.width <= cfg.width_cap:
             projections = (_projection(comp, dst, cfg.hom) for comp in analysis.components)
             factors = chain(_relation_factors(analysis.free_atoms, dst), projections)
-            return _sum_product(factors, analysis.order, len(dst.domain))
+            return _sum_product(factors, td.elimination_order, len(dst.domain))
         if cfg.mode == MODE_STRUCTURAL:
             raise ResourceBudgetError(
-                f"contracted instance has width {width}, cap is {cfg.width_cap}")
+                f"contracted instance has width {td.width}, cap is {cfg.width_cap}")
     return count_answers_brute(q, dst, cfg.hom)
 
 

@@ -5,6 +5,8 @@ ResourceBudgetError -> 2. InternalError signals a bug in the library
 itself and is never caught.
 """
 
+from typing import Optional
+
 
 class CQError(Exception):
     """Base class for all library errors."""
@@ -24,3 +26,15 @@ class ResourceBudgetError(CQError):
 
 class InternalError(CQError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+def _check_int(name: str, value: object, least: Optional[int] = None,
+               most: Optional[int] = None) -> None:
+    """InputError unless ``value`` is an int, not a bool, within ``least``..``most``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    # The value is not echoed: an int past the int/str digit limit cannot be printed.
+    if least is not None and value < least:
+        raise InputError(f"{name} must be at least {least}")
+    if most is not None and value > most:
+        raise InputError(f"{name} must be at most {most}")

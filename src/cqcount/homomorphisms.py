@@ -26,7 +26,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, ResourceBudgetError, _check_int
 from .structures import Assignment, ConjunctiveQuery, RelationalStructure
 
 
@@ -49,15 +49,6 @@ class HomSearchConfig:
     def __post_init__(self) -> None:
         _check_int("node_budget", self.node_budget, 1)
         _check_int("enumeration_cap", self.enumeration_cap, 1)
-
-
-def _check_int(name: str, value: object, least: int) -> None:
-    """InputError unless ``value`` is an int, not a bool, and at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        # Not echoed: an int past the int/str digit limit cannot be printed.
-        raise InputError(f"{name} must be at least {least}")
 
 
 DEFAULT_CONFIG = HomSearchConfig()
@@ -270,10 +261,13 @@ class _HomSearch:
 
         The order is lexicographic in the values of the unpinned variables,
         taken smallest domain first, then by name. A pin outside its
-        variable's domain has no solutions.
+        variable's domain has no solutions. Pins map strings to strings
+        (InputError otherwise).
         """
         pins = dict(pins or {})
         if pins:
+            if not all(isinstance(x, str) for x in (*pins, *pins.values())):
+                raise InputError("pinned variables and values must be strings")
             bad_keys = sorted(set(pins).difference(self.src_domain))
             if bad_keys:
                 raise InputError(f"pinned variables {bad_keys!r} are not in the source domain")

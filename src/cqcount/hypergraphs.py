@@ -7,11 +7,14 @@ adjacent iff some edge contains both.
 
 The ``SHypergraph`` and ``Graph`` constructors validate their input; what
 is derived here from a validated query or hypergraph is not validated again.
+An S-hypergraph finds its S-components once, on first use, and keeps them:
+``s_components``, ``star_sizes`` and ``contract`` all read that one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .errors import InputError, ResourceBudgetError
@@ -50,6 +53,52 @@ class SHypergraph:
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "s_set", s_set)
+
+    @cached_property
+    def _components(self) -> Tuple[SComponent, ...]:
+        """The S-components, ordered by their smallest quantified vertex.
+
+        One union-find pass over the edges notes each edge under its first
+        quantified vertex; each component takes the edges noted under its
+        members. Kept on the value: equality and hashing read only the fields.
+        """
+        s_set = self.s_set
+        parent: Dict[str, str] = {}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        noted = []
+        for e in self.edges:
+            inside = [v for v in e if v not in s_set]
+            if not inside:
+                continue
+            root = find(parent.setdefault(inside[0], inside[0]))
+            for other in inside[1:]:
+                r = find(parent.setdefault(other, other))
+                if r != root:
+                    parent[r] = root
+            noted.append((inside[0], e))
+
+        groups: Dict[str, Tuple[list, list]] = {}
+        for v in self.vertices:
+            if v not in s_set:
+                groups.setdefault(find(v) if v in parent else v, ([], []))[0].append(v)
+        for v, e in noted:
+            groups[find(v)][1].append(e)
+
+        comps = []
+        for core, touched in sorted(groups.values(), key=lambda group: min(group[0])):
+            touched = frozenset(touched)
+            # An isolated quantified vertex has no touched edges; its
+            # closure is the empty union, per the definition.
+            closure = frozenset().union(*touched)
+            comps.append(SComponent(frozenset(core), touched, closure,
+                                    tuple(sorted(closure & s_set))))
+        return tuple(comps)
 
 
 @dataclass(frozen=True)
@@ -108,48 +157,8 @@ def hypergraph_of(q: ConjunctiveQuery) -> SHypergraph:
 
 
 def s_components(h: SHypergraph) -> List[SComponent]:
-    """The S-components, ordered by their smallest quantified vertex.
-
-    One union-find pass over the edges notes each edge under its first
-    quantified vertex; each component takes the edges noted under its members.
-    """
-    s_set = h.s_set
-    parent: Dict[str, str] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    noted = []
-    for e in h.edges:
-        inside = [v for v in e if v not in s_set]
-        if not inside:
-            continue
-        root = find(parent.setdefault(inside[0], inside[0]))
-        for other in inside[1:]:
-            r = find(parent.setdefault(other, other))
-            if r != root:
-                parent[r] = root
-        noted.append((inside[0], e))
-
-    groups: Dict[str, Tuple[list, list]] = {}
-    for v in h.vertices:
-        if v not in s_set:
-            groups.setdefault(find(v) if v in parent else v, ([], []))[0].append(v)
-    for v, e in noted:
-        groups[find(v)][1].append(e)
-
-    comps = []
-    for core, touched in sorted(groups.values(), key=lambda group: min(group[0])):
-        touched = frozenset(touched)
-        # An isolated quantified vertex has no touched edges; its closure is
-        # the empty union, per the definition.
-        closure = frozenset().union(*touched)
-        comps.append(SComponent(frozenset(core), touched, closure,
-                                tuple(sorted(closure & s_set))))
-    return comps
+    """The S-components, ordered by their smallest quantified vertex, in a new list."""
+    return list(h._components)
 
 
 def _max_independent_set(avail: frozenset, adj: Dict[str, set]) -> int:
@@ -175,14 +184,9 @@ def star_sizes(h: SHypergraph) -> Tuple[int, int]:
     there are no S-components. A component touching more than
     ``STAR_SIZE_CAP`` free vertices raises ResourceBudgetError.
     """
-    return _star_sizes(s_components(h))
-
-
-def _star_sizes(comps: List[SComponent]) -> Tuple[int, int]:
-    """``star_sizes`` of the hypergraph whose S-components are ``comps``."""
     star = 0
     strict = 0
-    for comp in comps:
+    for comp in h._components:
         free_here = comp.free_scope
         strict = max(strict, len(free_here))
         if len(free_here) > STAR_SIZE_CAP:
@@ -206,18 +210,12 @@ def contract(h: SHypergraph) -> SHypergraph:
 
     Edges lose their quantified vertices (emptied edges vanish); every pair
     of free vertices lying in a common component closure gains an edge. The
-    result is quantifier-free: its S set is its whole vertex set.
+    result is quantifier-free: its S set is its whole vertex set. Without
+    S-components every vertex is free and the contract is ``h`` itself;
+    otherwise an edge that is already all free is kept as it is, not
+    copied, and so is the S set.
     """
-    return _contract(h, s_components(h))
-
-
-def _contract(h: SHypergraph, comps: List[SComponent]) -> SHypergraph:
-    """``contract(h)``, given the S-components of ``h``.
-
-    Without S-components every vertex is free and the contract is ``h``
-    itself; otherwise an edge that is already all free is kept as it is,
-    not copied, and so is the S set.
-    """
+    comps = h._components
     if not comps:
         return h
     s_set = h.s_set

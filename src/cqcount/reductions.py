@@ -35,14 +35,14 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cores import core_of_query
 from .counting import _join, _key_getter, _relation_factors
-from .errors import InputError, InternalError, ResourceBudgetError
+from .errors import InputError, InternalError, ResourceBudgetError, _check_int
 from .homomorphisms import (
     DEFAULT_CONFIG,
     HomSearchConfig,
     free_automorphism_set,
     is_homomorphism,
 )
-from .hypergraphs import SHypergraph, _contract, hypergraph_of, s_components
+from .hypergraphs import SHypergraph, contract, hypergraph_of, s_components
 from .structures import (
     ConjunctiveQuery,
     RelationalStructure,
@@ -145,11 +145,14 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> List[int]:
     Björck–Pereyra over rationals in O(n^2): Newton divided differences of
     the points (nodes[r], rhs[r]), then expansion into monomial coefficients.
     A non-integer x_i means the right-hand sides were not consistent counts,
-    which is a bug in the caller, not in the input data.
+    which is a bug in the caller, not in the input data. Nodes and
+    right-hand sides must be integers, not bools (InputError otherwise).
     """
     n = len(nodes)
     if len(rhs) != n:
         raise InputError("nodes and right-hand sides must have equal length")
+    for value in (*nodes, *rhs):
+        _check_int("each node and right-hand side", value)
     if len(set(nodes)) != n:
         raise InputError("interpolation nodes must be distinct")
     c = [Fraction(y) for y in rhs]
@@ -220,14 +223,6 @@ def _rows_over(scope: Tuple[str, ...], factor: Tuple[tuple, dict]) -> frozenset:
     return frozenset(order(row) for row in factor[1])
 
 
-def _same_shypergraph(h1: SHypergraph, h2: SHypergraph) -> bool:
-    return (
-        set(h1.vertices) == set(h2.vertices)
-        and h1.edges == h2.edges
-        and h1.s_set == h2.s_set
-    )
-
-
 def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
                        target: SHypergraph,
                        cfg: HomSearchConfig = DEFAULT_CONFIG) -> Tuple[ConjunctiveQuery, RelationalStructure]:
@@ -247,8 +242,8 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     rows raises ResourceBudgetError.
     """
     comps = s_components(target)
-    ct = _contract(target, comps)
-    if not _same_shypergraph(hypergraph_of(q), ct):
+    ct, h = contract(target), hypergraph_of(q)
+    if (set(h.vertices), h.edges, h.s_set) != (set(ct.vertices), ct.edges, ct.s_set):
         raise InputError("the query's S-hypergraph must equal the contract of the target")
 
     # One constraint per contract edge, conjoining every atom with that

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
-from .errors import InputError
+from .errors import InputError, _check_int
 from .hypergraphs import Graph
 
 EXACT = "exact"
@@ -264,8 +264,10 @@ def decompose(obj: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Tre
 
     Results are memoised by (graph value, threshold) and shared between
     callers; they are immutable. The argument is checked to be a ``Graph``
-    before the memo hashes it.
+    before the memo hashes it, and the threshold to be an integer in
+    0..16, the subset DP's own cap (``exact_treewidth``).
     """
+    _check_int("exact_threshold", exact_threshold, 0, DEFAULT_EXACT_THRESHOLD)
     return _decompose(_require_graph(obj), exact_threshold)
 
 

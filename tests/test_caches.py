@@ -211,7 +211,8 @@ def test_one_pass_analysis_matches_the_public_steps():
         core = core_of_query.__wrapped__(q, cfg.hom)
         assert analysis.core == core
         for query in (q, core):
-            h, comps, subqueries, free_atoms = counting._split(query)
+            h, subqueries, free_atoms = counting._split(query)
+            comps = s_components(h)
             want = split_by_public_steps(query)
             assert (h, comps, list(subqueries)) == want[:3]
             assert {name: set(ts) for name, ts in free_atoms} == want[3]
@@ -226,13 +227,13 @@ def test_one_pass_analysis_matches_the_public_steps():
             if not query.free_vars:
                 seen.add("Boolean query")
         h, comps, subqueries, _ = split_by_public_steps(core)
-        assert (analysis.hypergraph, analysis._comps, list(analysis.components)) == (
-            h, comps, subqueries)
+        assert (analysis.hypergraph, s_components(analysis.hypergraph),
+                list(analysis.components)) == (h, comps, subqueries)
         assert analysis.contract_graph == contract(h)
         td = _decompose.__wrapped__(primal_graph(contract(h)))
         assert (analysis.contract_td.width, analysis.contract_td.exactness) == (
             td.width, td.exactness)
-        assert analysis.order == TreeDecomposition.elimination_order.func(td)
+        assert analysis.contract_td.elimination_order == TreeDecomposition.elimination_order.func(td)
         assert classify(q, cfg=cfg).to_json_dict() == uncached_report(q, cfg)
     assert seen == {"0-ary atom", "repeated variable", "isolated quantified variable",
                     "Boolean query"}

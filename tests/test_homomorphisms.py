@@ -74,6 +74,14 @@ def test_partial_validation():
         find_extension(single, TRIANGLE, {"x": "nope"})
 
 
+@pytest.mark.parametrize("partial", [{"x": []}, {"x": 1}, {1: "a", "y": "b"}],
+                         ids=["list-value", "int-value", "int-variable"])
+def test_partial_must_map_strings_to_strings(partial):
+    single = digraph("xy", [("x", "y")])
+    with pytest.raises(InputError, match="must be strings"):
+        find_extension(single, TRIANGLE, partial)
+
+
 def test_vocabulary_mismatch():
     single = digraph("xy", [("x", "y")])
     other = structure({"F": 2}, "ab", {"F": {("a", "b")}})

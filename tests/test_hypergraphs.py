@@ -18,6 +18,7 @@ from cqcount import (
     star_sizes,
 )
 from cqcount.generators import random_query
+from cqcount.hypergraphs import SComponent
 
 
 def shg(vertices, edges, s):
@@ -147,6 +148,65 @@ def test_star_size_against_subset_oracle():
 
             best = max(best, naive_independent_set(free_here, adjacent))
         assert (star, strict) == (best, biggest)
+
+
+def reference_components(h):
+    """The S-components of ``h``, from the BFS oracle and the definitions."""
+    comps = []
+    for core in naive_components(h):
+        touched = frozenset(e for e in h.edges if e & core)
+        closure = frozenset().union(*touched)
+        comps.append(SComponent(core, touched, closure, tuple(sorted(closure & h.s_set))))
+    return comps
+
+
+def reference_contract_and_star_sizes(h, comps):
+    s = h.s_set
+    edges = {e & s for e in h.edges if e & s}
+    edges |= {frozenset(p) for comp in comps for p in combinations(comp.free_scope, 2)}
+    contracted = SHypergraph(tuple(v for v in h.vertices if v in s), edges, s)
+    star = strict = 0
+    for comp in comps:
+        def adjacent(u, v, edges=comp.touched_edges):
+            return any(u in e and v in e for e in edges)
+
+        star = max(star, naive_independent_set(comp.free_scope, adjacent))
+        strict = max(strict, len(comp.free_scope))
+    return contracted, (star, strict)
+
+
+def test_components_are_found_once_per_hypergraph(monkeypatch):
+    built = []
+    init = SComponent.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SComponent, "__init__", counting_init)
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(60):
+        q = random_query(rng, max_vars=6, max_free=4)
+        by_function = hypergraph_of(q)
+        by_constructor = SHypergraph(q.structure.domain,
+                                     [t for _, t in q.structure.atoms() if t], q.free_vars)
+        want = reference_components(by_function)
+        want_contract, want_sizes = reference_contract_and_star_sizes(by_function, want)
+        seen.add("components" if want else "quantifier-free")
+        for h in (by_constructor, by_function):
+            built.clear()
+            for _ in range(2):
+                comps = s_components(h)
+                assert comps == want
+                comps.append(comps[0] if comps else None)
+                assert contract(h) == want_contract
+                assert star_sizes(h) == want_sizes
+            assert len(built) == len(want)
+            # equality and hashing read the fields, not the kept components
+            untouched = hypergraph_of(q)
+            assert h == untouched and hash(h) == hash(untouched)
+    assert seen == {"components", "quantifier-free"}
 
 
 def test_star_size_cap():

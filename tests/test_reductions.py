@@ -191,6 +191,14 @@ def test_solve_vandermonde_errors():
         solve_vandermonde([1, 3], [1, 2])  # solution is (1/2, 1/2)
 
 
+@pytest.mark.parametrize("nodes, rhs", [([1.5, 2], [1, 2]), ([1, 2], [1.5, 2]),
+                                        ([True, 2], [1, 2])],
+                         ids=["float-node", "float-rhs", "bool-node"])
+def test_solve_vandermonde_rejects_non_integers(nodes, rhs):
+    with pytest.raises(InputError, match="must be an integer"):
+        solve_vandermonde(nodes, rhs)
+
+
 def count_first_coordinate_profile(q, d, t_subset):
     """N_{T,i} by enumeration: answers of q against the pair structure,
     bucketed by how many free images have their first coordinate in T."""

@@ -129,6 +129,13 @@ def test_decompose_width_dominates_exact():
         assert heuristic.width >= exact
 
 
+@pytest.mark.parametrize("threshold", [17, -1, True, "16", 2.5])
+def test_decompose_rejects_a_bad_exact_threshold(threshold):
+    # 17 would let the subset DP fill 2^n-entry tables past its 16-vertex cap
+    with pytest.raises(InputError, match="exact_threshold"):
+        decompose(grid(2), threshold)
+
+
 def test_verify_decomposition_passes_on_decompose_output():
     rng = random.Random(22)
     for _ in range(60):
