@@ -43,7 +43,7 @@ from operator import itemgetter
 from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import core_of_query
-from .errors import InputError, ResourceBudgetError, _check_int
+from .errors import InputError, ResourceBudgetError, _check_int, _require
 from .homomorphisms import (
     HomSearchConfig,
     _HomSearch,
@@ -462,7 +462,8 @@ def count_answers(q: ConjunctiveQuery, dst: RelationalStructure,
     nothing read from ``dst`` is cached. An empty table ends the count at
     0 before later components are projected.
     """
-    check_vocabulary(q.structure, dst)
+    _require(cfg, CountingConfig)
+    check_vocabulary(_require(q, ConjunctiveQuery).structure, _require(dst, RelationalStructure))
     if cfg.mode != MODE_BRUTE:
         analysis = _analyse(q, cfg.hom)
         td = analysis.contract_td
@@ -526,14 +527,15 @@ def classify(q: ConjunctiveQuery, k_core: int = 3, k_contract: int = 3,
     widths stay below, case III when the contract width reaches its bound,
     case II otherwise (core width reaches its bound, contract stays below).
     Labels are advisory when a width is only an upper bound. A bound that
-    is not an integer of at least 1 is rejected with InputError.
+    is not an integer of at least 1, or a ``q`` or ``cfg`` of another type,
+    is rejected with InputError.
 
     It reads the analysis ``count_answers`` memoises, and keeps the core's
     decomposition and star sizes with it on first use.
     """
     _check_int("k_core", k_core, 1)
     _check_int("k_contract", k_contract, 1)
-    analysis = _analyse(q, cfg.hom)
+    analysis = _analyse(_require(q, ConjunctiveQuery), _require(cfg, CountingConfig).hom)
     core_td, contract_td = analysis.core_td, analysis.contract_td
     star, strict = analysis.star_sizes
     if contract_td.width >= k_contract:

@@ -1,10 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the argument checks
+``_check_int`` and ``_require``: they echo a bad value's ``reprlib.repr`` or type.
 
 The command line maps these onto exit codes: InputError -> 1,
 ResourceBudgetError -> 2. InternalError signals a bug in the library
 itself and is never caught.
 """
 
+import reprlib
 from typing import Optional
 
 
@@ -32,9 +34,16 @@ def _check_int(name: str, value: object, least: Optional[int] = None,
                most: Optional[int] = None) -> None:
     """InputError unless ``value`` is an int, not a bool, within ``least``..``most``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an integer, got {value!r}")
+        raise InputError(f"{name} must be an integer, got {reprlib.repr(value)}")
     # The value is not echoed: an int past the int/str digit limit cannot be printed.
     if least is not None and value < least:
         raise InputError(f"{name} must be at least {least}")
     if most is not None and value > most:
         raise InputError(f"{name} must be at most {most}")
+
+
+def _require(value: object, cls: type):
+    """``value`` itself, or InputError unless it is a ``cls``."""
+    if isinstance(value, cls):
+        return value
+    raise InputError(f"expected a {cls.__name__}, got {type(value).__name__}")

@@ -19,6 +19,7 @@ one for two structures after checking their vocabularies.
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -63,10 +64,10 @@ def check_vocabulary(src: RelationalStructure, dst: RelationalStructure) -> None
     for name, arity in src.vocabulary.symbols.items():
         have = dst.vocabulary.symbols.get(name)
         if have is None:
-            raise InputError(f"target structure lacks relation {name!r}")
+            raise InputError(f"target structure lacks relation {reprlib.repr(name)}")
         if have != arity:
             raise InputError(
-                f"relation {name!r} has arity {arity} in the source but {have} in the target"
+                f"relation {reprlib.repr(name)} has arity {arity} in the source but {have} in the target"
             )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, ResourceBudgetError, _require
 from .structures import ConjunctiveQuery, _unchecked
 
 # Most free vertices per S-component: bounds the independent-set recursion.
@@ -151,14 +151,15 @@ def hypergraph_of(q: ConjunctiveQuery) -> SHypergraph:
 
     Duplicate edges collapse; 0-ary atoms contribute no edge.
     """
-    edges = frozenset({frozenset(t) for ts in q.structure.relations.values() for t in ts if t})
+    relations = _require(q, ConjunctiveQuery).structure.relations
+    edges = frozenset({frozenset(t) for ts in relations.values() for t in ts if t})
     return _unchecked(SHypergraph, vertices=q.structure.domain, edges=edges,
                       s_set=frozenset(q.free_vars))
 
 
 def s_components(h: SHypergraph) -> List[SComponent]:
     """The S-components, ordered by their smallest quantified vertex, in a new list."""
-    return list(h._components)
+    return list(_require(h, SHypergraph)._components)
 
 
 def _max_independent_set(avail: frozenset, adj: Dict[str, set]) -> int:
@@ -186,7 +187,7 @@ def star_sizes(h: SHypergraph) -> Tuple[int, int]:
     """
     star = 0
     strict = 0
-    for comp in h._components:
+    for comp in _require(h, SHypergraph)._components:
         free_here = comp.free_scope
         strict = max(strict, len(free_here))
         if len(free_here) > STAR_SIZE_CAP:
@@ -215,7 +216,7 @@ def contract(h: SHypergraph) -> SHypergraph:
     otherwise an edge that is already all free is kept as it is, not
     copied, and so is the S set.
     """
-    comps = h._components
+    comps = _require(h, SHypergraph)._components
     if not comps:
         return h
     s_set = h.s_set
@@ -235,7 +236,7 @@ def contract(h: SHypergraph) -> SHypergraph:
 def primal_graph(h: SHypergraph) -> Graph:
     """Vertices of ``h`` with an edge for every pair sharing a hyperedge."""
     pairs = set()
-    for e in h.edges:
+    for e in _require(h, SHypergraph).edges:
         inside = tuple(e)
         for i, u in enumerate(inside):
             for v in inside[i + 1:]:

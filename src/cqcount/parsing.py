@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 import warnings
 from pathlib import Path
 from typing import List, Tuple, Union
@@ -84,7 +85,7 @@ class _Tokens:
             line, col = _line_col(self.text, offset)
             raise InputError(
                 f"syntax error at line {line}, column {col}: "
-                f"expected {expected}, found {tok!r}"
+                f"expected {expected}, found {reprlib.repr(tok)}"
             )
         line, col = _line_col(self.text, len(self.text))
         raise InputError(
@@ -120,7 +121,7 @@ def parse_query(text: str) -> ConjunctiveQuery:
     toks = _Tokens(text)
     head = toks.take_name(f"{HEAD_NAME!r}")
     if head != HEAD_NAME:
-        raise InputError(f"queries must start with {HEAD_NAME!r}, found {head!r}")
+        raise InputError(f"queries must start with {HEAD_NAME!r}, found {reprlib.repr(head)}")
     toks.take("(")
     head_vars: List[str] = []
     if toks.peek() != ")":
@@ -154,16 +155,18 @@ def parse_query(text: str) -> ConjunctiveQuery:
     for name, args in atoms:
         if name in arities and arities[name] != len(args):
             raise InputError(
-                f"relation {name!r} is used with arities {arities[name]} and {len(args)}"
+                f"relation {reprlib.repr(name)} is used with arities "
+                f"{arities[name]} and {len(args)}"
             )
         if len(args) > DEFAULT_ARITY_CAP:
-            raise InputError(f"relation {name!r} has arity {len(args)}, outside 1..{DEFAULT_ARITY_CAP}")
+            raise InputError(f"relation {reprlib.repr(name)} has arity {len(args)}, "
+                             f"outside 1..{DEFAULT_ARITY_CAP}")
         arities[name] = len(args)
     body_vars = {v for _, args in atoms for v in args}
     for v in head_vars:
         if v not in body_vars:
             warnings.warn(
-                f"head variable {v!r} does not occur in the body; it ranges "
+                f"head variable {reprlib.repr(v)} does not occur in the body; it ranges "
                 f"freely over the database domain",
                 QueryWarning,
                 stacklevel=2,
@@ -217,13 +220,13 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
             raise InputError(f"relation names may not start with {RESERVED_PREFIX!r}")
         if not 1 <= arity <= DEFAULT_ARITY_CAP:
             raise InputError(
-                f"relation {name!r} has arity {arity}, outside 1..{DEFAULT_ARITY_CAP}")
+                f"relation {reprlib.repr(name)} has arity {arity}, outside 1..{DEFAULT_ARITY_CAP}")
     for name, body in data["relations"].items():
         kept = len(structure.tuples(name))
         dupes = len(body["tuples"]) - kept
         if dupes:
             warnings.warn(
-                f"relation {name!r}: {dupes} duplicate tuple(s) collapsed, {kept} kept",
+                f"relation {reprlib.repr(name)}: {dupes} duplicate tuple(s) collapsed, {kept} kept",
                 DatabaseWarning,
                 stacklevel=2,
             )

@@ -24,6 +24,10 @@ preserved element-wise. The consistency relations are joins of the atoms'
 sparse tables, built with the counting engine's join, so their cost
 follows the rows they hold rather than |D|^(free vertices); the component
 joins are capped at ``enumeration_cap`` rows.
+
+Composite elements (pairs, twins, component encodings) are ``_pair_id``
+strings; the lifted relations are named by ``structures._fresh_names`` on
+the bases ``__edge`` and ``__free``, bumped if the query uses such names.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .structures import (
     ConjunctiveQuery,
     RelationalStructure,
     Vocabulary,
+    _fresh_names,
     pin_relation_names,
 )
 
@@ -68,8 +73,8 @@ class PairDomainStructure:
         return self.pair_of[element][0]
 
 
-def _pair_id(a: str, b: str) -> str:
-    # repr-based encoding is injective for arbitrary element strings.
+def _pair_id(a: object, b: object) -> str:
+    # repr-based encoding is injective for strings, ints and tuples of them.
     return str((a, b))
 
 
@@ -115,15 +120,14 @@ def blowup(dstruct: PairDomainStructure, t_subset: Sequence[str],
     With an empty T (or one copy over an empty T) the structure is returned
     unchanged; one copy of a non-empty T yields an isomorphic renaming.
     """
-    if copies < 1:
-        raise InputError("the number of copies must be at least 1")
+    _check_int("copies", copies, 1)
     t_set = set(t_subset)
     base = dstruct.structure
     twins: Dict[str, Tuple[str, ...]] = {}
     for e in base.domain:
         a, b = dstruct.pair_of[e]
         if a in t_set:
-            twins[e] = tuple(str(((a, k), b)) for k in range(1, copies + 1))
+            twins[e] = tuple(_pair_id((a, k), b) for k in range(1, copies + 1))
         else:
             twins[e] = (e,)
     if all(len(t) == 1 and t[0] == e for e, t in twins.items()):
@@ -208,8 +212,7 @@ def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
 
 def _oracle_count(oracle: Oracle, structure: RelationalStructure) -> int:
     value = oracle(structure)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"oracle must return an exact integer, got {value!r}")
+    _check_int("oracle count", value)
     return value
 
 
@@ -274,18 +277,19 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
                     raise ResourceBudgetError(
                         f"component join built {len(table[1])} rows, cap is {cfg.enumeration_cap}"
                     )
-        comp_rows.append({str((f"{tag}_{ci}", row)): dict(zip(comp.free_scope, row))
+        comp_rows.append({_pair_id(f"{tag}_{ci}", row): dict(zip(comp.free_scope, row))
                           for row in _rows_over(comp.free_scope, table)})
 
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp.component_core}
 
     target_edges = sorted(target.edges, key=_edge_key)
+    edge_names = _fresh_names(q.structure.vocabulary, "__edge",
+                              [str(i) for i in range(len(target_edges))])
     left_symbols: Dict[str, int] = {}
     left_rels: Dict[str, frozenset] = {}
     right_rels: Dict[str, frozenset] = {}
-    for i, e in enumerate(target_edges):
+    for name, e in zip(edge_names.values(), target_edges):
         scope = _edge_key(e)
-        name = f"__edge_{i}"
         left_symbols[name] = len(scope)
         left_rels[name] = frozenset({scope})
         quantified = [v for v in scope if v not in target.s_set]
@@ -307,8 +311,10 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     # A free vertex in no target edge is otherwise unconstrained and would
     # range over the component encodings too; pin it to the value domain.
     covered = set().union(*target.edges) if target.edges else set()
-    for j, v in enumerate(sorted(set(target.s_set) - covered)):
-        name = f"__free_{j}"
+    uncovered = sorted(set(target.s_set) - covered)
+    free_names = _fresh_names(q.structure.vocabulary, "__free",
+                              [str(j) for j in range(len(uncovered))])
+    for name, v in zip(free_names.values(), uncovered):
         left_symbols[name] = 1
         left_rels[name] = frozenset({(v,)})
         right_rels[name] = frozenset((x,) for x in values)

@@ -13,23 +13,26 @@ constructor) are interchangeable as dictionary keys, which is what lets
 A conjunctive query is kept in natural-model form: a structure whose domain
 is the set of query variables, paired with the ordered tuple of free
 variables. Tuple sets use set semantics; duplicate input tuples are
-silently collapsed.
+silently collapsed. Error messages quote caller values (names, elements,
+tuples) through ``reprlib.repr``, so a huge value is shortened.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, _check_int
 
 # User-facing relation names may not start with "__"; that prefix is
-# reserved for relations the library adds itself. Pinning relations (one
-# singleton unary per element, shared by augment and star_structure) live
-# under "__aug", and contract_instance's component relations under
-# "__comp"; the numeric bump keeps them fresh if a structure already
-# carries such names.
+# reserved for relations the library adds itself, all named by
+# _fresh_names. Pinning relations (one singleton unary per element, shared
+# by augment and star_structure) live under "__aug", contract_instance's
+# component relations under "__comp", and lift_to_hypergraph's edge and
+# free-pin relations under "__edge" and "__free"; the numeric bump keeps
+# them fresh if a structure already carries such names.
 RESERVED_PREFIX = "__"
 PIN_PREFIX_BASE = "__aug"
 
@@ -65,8 +68,9 @@ class Vocabulary:
         for name, arity in symbols.items():
             if not name or not isinstance(name, str):
                 raise InputError("relation names must be non-empty strings")
-            if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
-                raise InputError(f"arity of {name!r} must be a non-negative integer")
+            # The label costs a reprlib.repr call: build it only when it may be needed.
+            if type(arity) is not int or arity < 0:
+                _check_int(f"arity of {reprlib.repr(name)}", arity, 0)
         object.__setattr__(self, "symbols", MappingProxyType(symbols))
 
     def __hash__(self) -> int:
@@ -76,7 +80,7 @@ class Vocabulary:
         try:
             return self.symbols[name]
         except KeyError:
-            raise InputError(f"unknown relation symbol {name!r}") from None
+            raise InputError(f"unknown relation symbol {reprlib.repr(name)}") from None
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class RelationalStructure:
         dom = []
         for e in self.domain:
             if not isinstance(e, str):
-                raise InputError(f"domain elements must be strings, got {e!r}")
+                raise InputError(f"domain elements must be strings, got {reprlib.repr(e)}")
             if e not in seen:
                 seen.add(e)
                 dom.append(e)
@@ -110,12 +114,14 @@ class RelationalStructure:
                 t = tuple(t)
                 if len(t) != arity:
                     raise InputError(
-                        f"tuple {t!r} has length {len(t)}, relation {name!r} expects {arity}"
+                        f"tuple {reprlib.repr(t)} has length {len(t)}, "
+                        f"relation {reprlib.repr(name)} expects {arity}"
                     )
                 for e in t:
                     if e not in seen:
                         raise InputError(
-                            f"element {e!r} of a {name!r} tuple is not in the domain"
+                            f"element {reprlib.repr(e)} of a {reprlib.repr(name)} tuple "
+                            f"is not in the domain"
                         )
                 out.add(t)
             rels[name] = frozenset(out)
@@ -151,7 +157,7 @@ class ConjunctiveQuery:
         dom = set(self.structure.domain)
         missing = [v for v in free if v not in dom]
         if missing:
-            raise InputError(f"free variables {missing!r} are not in the query domain")
+            raise InputError(f"free variables {reprlib.repr(missing)} are not in the query domain")
         object.__setattr__(self, "free_vars", free)
 
     @property
@@ -169,7 +175,7 @@ def induced_substructure(a: RelationalStructure, keep: Iterable) -> RelationalSt
     keep_set = set(keep)
     unknown = sorted(keep_set - set(a.domain))
     if unknown:
-        raise InputError(f"elements {unknown!r} are not in the domain")
+        raise InputError(f"elements {reprlib.repr(unknown)} are not in the domain")
     dom = tuple(e for e in a.domain if e in keep_set)
     rels = {
         name: frozenset(t for t in ts if all(e in keep_set for e in t))
@@ -264,14 +270,14 @@ def structure_from_dict(data: dict) -> RelationalStructure:
     extra = set()
     for name, body in raw_relations.items():
         if not isinstance(body, dict) or "arity" not in body or "tuples" not in body:
-            raise InputError(f'relation {name!r} needs "arity" and "tuples"')
+            raise InputError(f'relation {reprlib.repr(name)} needs "arity" and "tuples"')
         tuples = body["tuples"]
         if not isinstance(tuples, list):
-            raise InputError(f'"tuples" of {name!r} must be a list')
+            raise InputError(f'"tuples" of {reprlib.repr(name)} must be a list')
         rows = set()
         for row in tuples:
             if not isinstance(row, list) or any(not isinstance(e, str) for e in row):
-                raise InputError(f"tuples of {name!r} must be lists of strings")
+                raise InputError(f"tuples of {reprlib.repr(name)} must be lists of strings")
             rows.add(tuple(row))
             extra.update(row)
         symbols[name] = body["arity"]

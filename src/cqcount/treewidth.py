@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
-from .errors import InputError, _check_int
+from .errors import InputError, _check_int, _require
 from .hypergraphs import Graph
 
 EXACT = "exact"
@@ -75,12 +75,6 @@ class TreeDecomposition:
             placed.update(fresh)
             levels.append(fresh)
         return tuple(v for level in reversed(levels) for v in level)
-
-
-def _require_graph(obj: Graph) -> Graph:
-    if isinstance(obj, Graph):
-        return obj
-    raise InputError(f"expected a Graph, got {type(obj).__name__}")
 
 
 def _exact_elimination(g: Graph) -> Tuple[List[str], int]:
@@ -145,7 +139,7 @@ def _exact_elimination(g: Graph) -> Tuple[List[str], int]:
 
 def exact_treewidth(obj: Graph) -> int:
     """The exact treewidth, by subset DP over at most 16 vertices."""
-    g = _require_graph(obj)
+    g = _require(obj, Graph)
     n = len(g.vertices)
     if n > DEFAULT_EXACT_THRESHOLD:
         raise InputError(
@@ -268,7 +262,7 @@ def decompose(obj: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Tre
     0..16, the subset DP's own cap (``exact_treewidth``).
     """
     _check_int("exact_threshold", exact_threshold, 0, DEFAULT_EXACT_THRESHOLD)
-    return _decompose(_require_graph(obj), exact_threshold)
+    return _decompose(_require(obj, Graph), exact_threshold)
 
 
 @lru_cache(maxsize=DECOMPOSITION_CACHE_SIZE)
@@ -291,8 +285,8 @@ def verify_decomposition(obj: Graph, td: TreeDecomposition) -> int:
     Raises DecompositionError naming the first failure: vertex or edge
     uncovered, occurrence connectivity, malformed tree, width mismatch.
     """
-    g = _require_graph(obj)
-    bags = td.bags
+    g = _require(obj, Graph)
+    bags = _require(td, TreeDecomposition).bags
     if not bags:
         raise DecompositionError("decomposition has no bags")
     k = len(bags)

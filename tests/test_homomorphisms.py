@@ -222,6 +222,12 @@ def test_budgets_raise_distinct_errors():
         count_answers_brute(q, k3, HomSearchConfig(enumeration_cap=10))
 
 
+def test_a_long_bad_budget_is_echoed_briefly():
+    with pytest.raises(InputError, match="node_budget must be an integer") as info:
+        HomSearchConfig(node_budget="9" * 100000)
+    assert len(str(info.value)) < 200
+
+
 def _oracle_instance(rng):
     """A query structure and target with unary, binary, ternary and 0-ary
     symbols, repeated variables, and possibly empty relations or domains."""

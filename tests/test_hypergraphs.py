@@ -10,12 +10,15 @@ from cqcount import (
     InputError,
     ResourceBudgetError,
     SHypergraph,
+    classify,
     contract,
+    count_answers,
     exact_treewidth,
     hypergraph_of,
     primal_graph,
     s_components,
     star_sizes,
+    verify_decomposition,
 )
 from cqcount.generators import random_query
 from cqcount.hypergraphs import SComponent
@@ -38,6 +41,31 @@ def shg(vertices, edges, s):
 def test_constructors_reject_malformed_input(build, message):
     with pytest.raises(InputError, match=message):
         build()
+
+
+_Q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x",))
+_G = Graph(("a",), frozenset())
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: s_components(42), "SHypergraph"),
+    (lambda: contract("x"), "SHypergraph"),
+    (lambda: star_sizes(None), "SHypergraph"),
+    (lambda: primal_graph(1), "SHypergraph"),
+    (lambda: hypergraph_of(42), "ConjunctiveQuery"),
+    (lambda: count_answers("q", _Q.structure), "ConjunctiveQuery"),
+    (lambda: count_answers(_Q, "db"), "RelationalStructure"),
+    (lambda: count_answers(_Q, _Q.structure, cfg="x"), "CountingConfig"),
+    (lambda: classify(None), "ConjunctiveQuery"),
+    (lambda: classify(_Q, cfg="x"), "CountingConfig"),
+    (lambda: verify_decomposition(_G, "td"), "TreeDecomposition"),
+], ids=["s_components", "contract", "star_sizes", "primal_graph", "hypergraph_of",
+        "count-q", "count-target", "count-cfg", "classify-q", "classify-cfg",
+        "verify-td"])
+def test_wrong_typed_arguments_are_input_errors(call, expected):
+    with pytest.raises(InputError, match=f"expected a {expected}, got ") as info:
+        call()
+    assert len(str(info.value)) < 200
 
 
 def test_hypergraph_of_examples():

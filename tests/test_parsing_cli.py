@@ -438,6 +438,25 @@ def test_cli_vocabulary_agreement_checked(capsys, tmp_path):
     assert "arity" in err
 
 
+LONG = "x" * 100000
+EDGE_DB = {"relations": {"E": {"arity": 2, "tuples": [["a", "b"]]}}}
+
+
+@pytest.mark.parametrize("db, query", [
+    ({"relations": {LONG: {"arity": 2}}}, "answer(x) :- E(x,y)."),
+    ({"relations": {"E": {"arity": 2, "tuples": [["a", LONG, "b"]]}}}, "answer(x) :- E(x,y)."),
+    (EDGE_DB, f"{LONG}(x) :- E(x,y)."),
+    (EDGE_DB, f"answer(x) :- {LONG}(x,y)."),
+], ids=["relation-name", "tuple-element", "query-head", "unknown-relation"])
+def test_cli_errors_shorten_long_inputs(db, query, capsys, tmp_path):
+    (tmp_path / "db.json").write_text(json.dumps(db))
+    (tmp_path / "q.query").write_text(query)
+    code, out, err = run_cli(capsys, "count", "--db", str(tmp_path / "db.json"),
+                             "--query", str(tmp_path / "q.query"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err) < 300
+
+
 def test_cli_budget_env_resource_exit(capsys, monkeypatch):
     monkeypatch.setenv("CQCOUNT_BUDGET", "2")
     code, _, err = run_cli(

@@ -11,6 +11,7 @@ from cqcount import (
     InternalError,
     RelationalStructure,
     ResourceBudgetError,
+    SHypergraph,
     Vocabulary,
     are_isomorphic,
     blowup,
@@ -122,6 +123,14 @@ def test_blowup_identities():
 
     with pytest.raises(InputError):
         blowup(d, ["x"], 0)
+
+
+@pytest.mark.parametrize("copies", [True, 2.5, "2", None])
+def test_blowup_rejects_a_bad_number_of_copies(copies):
+    a = digraph("xy", [("x", "y")])
+    d = pair_structure(a, with_pins(random.Random(0), a, digraph("uv", [("u", "v")]), full=True))
+    with pytest.raises(InputError, match="copies must be"):
+        blowup(d, ["x"], copies)
 
 
 def test_blowup_small_concrete():
@@ -276,7 +285,7 @@ def test_count_star_via_oracle_boolean():
     assert count_star_via_oracle(q, blocked, oracle) == 0
 
     for wrong in (1.5, True, "1"):
-        with pytest.raises(InputError, match="exact integer"):
+        with pytest.raises(InputError, match="oracle count must be an integer"):
             count_star_via_oracle(q, b, lambda right: wrong)
 
 
@@ -516,3 +525,24 @@ def test_lift_rejects_mismatched_hypergraph():
     other = hypergraph_of(quantified_star_query(2))
     with pytest.raises(InputError):
         lift_to_hypergraph(left, right, other)
+
+
+@pytest.mark.parametrize("name", ["__edge_0", "__free_0"])
+@pytest.mark.parametrize("holds", [True, False])
+def test_lift_names_its_relations_apart_from_the_query(name, holds):
+    # A 0-ary query relation named like a relation the lift adds keeps its
+    # own meaning; the lift's edge or free-pin relations take bumped names.
+    vocab = Vocabulary({"E": 2, "U": 1, name: 0})
+    q = ConjunctiveQuery(
+        RelationalStructure(vocab, tuple("abc"),
+                            {"E": {("a", "b")}, "U": {("a",), ("b",)}, name: {()}}),
+        tuple("abc"))
+    b = RelationalStructure(vocab, tuple("pqr"), {
+        "E": {("p", "q"), ("q", "p"), ("r", "r")}, "U": {("p",), ("q",)},
+        name: {()} if holds else set()})
+    target = SHypergraph(tuple("xabc"), frozenset({frozenset("xa"), frozenset("xb")}),
+                         frozenset("abc"))
+    lifted_q, lifted_b = lift_to_hypergraph(q, b, target)
+    assert count_answers_brute(lifted_q, lifted_b) == count_answers_brute(q, b) == (6 if holds else 0)
+    assert enumerate_answers(lifted_q, lifted_b) == enumerate_answers(q, b)
+    assert lifted_q.structure.vocabulary.arity(name) == 0
