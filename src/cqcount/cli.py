@@ -16,7 +16,6 @@ import os
 import random
 import reprlib
 import sys
-from pathlib import Path
 
 from .cores import core_of_query
 from .counting import (
@@ -35,7 +34,7 @@ from .homomorphisms import (
     count_answers_brute,
     hom_exists,
 )
-from .parsing import load_database, parse_query, render_query
+from .parsing import _read_text, load_database, parse_query, render_query
 from .reductions import count_star_via_oracle
 from .structures import (
     ConjunctiveQuery,
@@ -86,11 +85,7 @@ def _configs(mode: str = MODE_AUTO) -> CountingConfig:
 
 
 def _load_query(path: str) -> ConjunctiveQuery:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    return parse_query(text)
+    return parse_query(_read_text(path))
 
 
 def _cmd_count(args) -> int:

@@ -17,6 +17,18 @@ A candidate whose root domain is itself alone is skipped. The rounds work
 on bare atom lists and tuple sets, each filtered to the last retraction's
 image; one structure is built at the end, not validated again.
 
+A candidate in the only tuple of a relation is never offered, since every
+endomorphism maps that tuple to itself. A candidate x proved undroppable
+is not offered again in later rounds: arc consistency pinned it, its view
+had no solution, or, after a retraction h of A with image I, its root
+domain in that round met I only in x. Proof: an endomorphism g of A[I]
+avoiding x makes g∘h an endomorphism of A, fixing what the search fixes,
+that avoids x, which the first two reasons rule out; and arc consistency
+keeps in x's root domain every value an endomorphism gives x, so g(h(x))
+would be a second element of I in it. A skipped candidate is one the
+search would refuse, so the first retraction found, and the core, do not
+change.
+
 The core of a query fixes every free variable by its search domain: a free
 variable starts with itself as its only value, so every endomorphism the
 search finds fixes it, and it survives into the core with the free tuple
@@ -31,29 +43,34 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from .errors import _require
 from .homomorphisms import DEFAULT_CONFIG, HomSearchConfig, _HomSearch
 from .structures import ConjunctiveQuery, RelationalStructure, _unchecked
 
 
-def _find_retraction(atoms: list, domain: Sequence[str], relations: Mapping[str, frozenset],
-                     start: Mapping[str, list], cfg: HomSearchConfig,
-                     candidates: Sequence[str]):
-    if not candidates:
-        return None
-    search = _HomSearch(atoms, domain, relations, domain, start, cfg)
-    for v in candidates:
-        # Unless arc consistency already pins v to itself, which nothing avoids.
-        if search.base[v] != [v]:
-            h = next(search.avoiding(v).solutions(), None)
-            if h is not None:
-                return h
-    return None
+def _first_retraction(search: _HomSearch, candidates: Sequence[str]):
+    """The index of the first candidate some solution of ``search`` avoids, and that solution.
+
+    Every candidate before the index is proved undroppable: arc consistency
+    pins it to itself, which nothing avoids, or its view has no solution.
+    Without a retraction the index is ``len(candidates)`` and the solution None.
+    """
+    for i, v in enumerate(candidates):
+        # The identity is a solution, so v's domain holds v.
+        if len(search.base[v]) > 1:
+            view = search.avoiding(v)
+            if view.feasible:
+                h = next(view._run(view._plan(()), ()), None)
+                if h is not None:
+                    return i, h
+    return len(candidates), None
 
 
 def is_core(a: RelationalStructure, cfg: HomSearchConfig = DEFAULT_CONFIG) -> bool:
     """True iff no endomorphism lands in a proper substructure."""
-    return _find_retraction(a.atoms(), a.domain, a.relations, {}, cfg,
-                            sorted(a.domain)) is None
+    _require(a, RelationalStructure)
+    search = _HomSearch(a.atoms(), a.domain, a.relations, a.domain, cfg=_require(cfg, HomSearchConfig))
+    return _first_retraction(search, sorted(a.domain))[1] is None
 
 
 def _shrink(a: RelationalStructure, cfg: HomSearchConfig, candidates: Sequence[str],
@@ -61,17 +78,28 @@ def _shrink(a: RelationalStructure, cfg: HomSearchConfig, candidates: Sequence[s
     """Retract onto images until no candidate can be dropped.
 
     Each element of ``fixed`` starts with itself as its only value, so
-    every retraction fixes it. Returns ``a`` itself if nothing is dropped.
+    every retraction fixes it. A candidate proved undroppable in one round
+    is not tried again (see the module docstring). Returns ``a`` itself if
+    nothing is dropped.
     """
-    atoms, domain, relations = a.atoms(), a.domain, a.relations
-    start = {v: [v] for v in fixed}
-    while True:
-        present = set(domain)
-        h = _find_retraction(atoms, domain, relations, start, cfg,
-                             [v for v in candidates if v in present])
+    relations = a.relations
+    # Every endomorphism maps the only tuple of a relation to itself.
+    alone = {v for ts in relations.values() if len(ts) == 1 for t in ts for v in t}
+    open_ = [v for v in candidates if v not in alone]
+    if not open_:
+        return a
+    atoms, domain, start = a.atoms(), a.domain, {v: [v] for v in fixed}
+    while open_:
+        search = _HomSearch(atoms, domain, relations, domain, start, cfg)
+        i, h = _first_retraction(search, open_)
         if h is None:
             break
         image = set(h.values())
+        base = search.base
+        # open_[i] is dropped and those before it are proved undroppable, as
+        # is each one whose root domain meets the image only in itself.
+        open_ = [v for v in open_[i + 1:]
+                 if v in image and len(image.intersection(base[v])) > 1]
         domain = [v for v in domain if v in image]
         atoms = [atom for atom in atoms if image.issuperset(atom[1])]
         relations = {name: frozenset(t for t in ts if image.issuperset(t))
@@ -89,7 +117,8 @@ def core_of_structure(a: RelationalStructure,
     Deletion candidates are tried in sorted order, so the result is
     deterministic; any order would give an isomorphic core.
     """
-    return _shrink(a, cfg, sorted(a.domain))
+    return _shrink(_require(a, RelationalStructure), _require(cfg, HomSearchConfig),
+                   sorted(a.domain))
 
 
 # Query cores kept for reuse, least recently used evicted first. Counting
@@ -98,7 +127,6 @@ def core_of_structure(a: RelationalStructure,
 CORE_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=CORE_CACHE_SIZE)
 def core_of_query(q: ConjunctiveQuery,
                   cfg: HomSearchConfig = DEFAULT_CONFIG) -> ConjunctiveQuery:
     """The core of a query, free variables fixed by their search domains.
@@ -112,8 +140,16 @@ def core_of_query(q: ConjunctiveQuery,
 
     Results are memoised by (query value, ``cfg``) and shared between
     callers; they are immutable. A search that raises (a budget overrun) is
-    not remembered, so the next call searches again.
+    not remembered, so the next call searches again. The arguments are
+    checked to be a query and a ``HomSearchConfig`` before the memo hashes
+    them.
     """
+    return _core_of_query(_require(q, ConjunctiveQuery), _require(cfg, HomSearchConfig))
+
+
+@lru_cache(maxsize=CORE_CACHE_SIZE)
+def _core_of_query(q: ConjunctiveQuery, cfg: HomSearchConfig) -> ConjunctiveQuery:
+    """``core_of_query`` for checked arguments, memoised."""
     quantified = q.quantified_vars
     if not quantified:
         return q

@@ -42,7 +42,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .cores import core_of_query
+from .cores import _core_of_query
 from .errors import InputError, ResourceBudgetError, _check_int, _require
 from .homomorphisms import (
     HomSearchConfig,
@@ -59,7 +59,6 @@ from .hypergraphs import (
     contract,
     hypergraph_of,
     primal_graph,
-    s_components,
     star_sizes,
 )
 from .structures import ConjunctiveQuery, RelationalStructure, Vocabulary, _fresh_names
@@ -125,7 +124,7 @@ def _bare_subquery(atoms: List[Tuple[str, tuple]], domain: Sequence[str],
     """
     keep = comp.closure | comp.component_core
     return (comp.free_scope, [atom for atom in atoms if keep.issuperset(atom[1])],
-            tuple(v for v in domain if v in keep))
+            tuple([v for v in domain if v in keep]))
 
 
 def _split(q: ConjunctiveQuery) -> Tuple[SHypergraph, tuple, tuple]:
@@ -138,10 +137,11 @@ def _split(q: ConjunctiveQuery) -> Tuple[SHypergraph, tuple, tuple]:
     h = hypergraph_of(q)
     atoms, domain = q.structure.atoms(), q.structure.domain
     free_atoms: Dict[str, list] = {}
+    all_free = h.s_set.issuperset
     for name, t in atoms:
-        if h.s_set.issuperset(t):
+        if all_free(t):
             free_atoms.setdefault(name, []).append(t)
-    return (h, tuple(_bare_subquery(atoms, domain, c) for c in s_components(h)),
+    return (h, tuple([_bare_subquery(atoms, domain, c) for c in h._components]),
             tuple(free_atoms.items()))
 
 
@@ -193,7 +193,8 @@ def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,
     component relations are ``__comp_0``, ``__comp_1``, ..., with the
     prefix bumped (``__comp1_``, ...) if the query uses such a name.
     """
-    check_vocabulary(q.structure, dst)
+    _require(cfg, CountingConfig)
+    check_vocabulary(_require(q, ConjunctiveQuery).structure, _require(dst, RelationalStructure))
     _, subqueries, free_atoms = _split(q)
     if not subqueries:
         return q, dst
@@ -363,7 +364,7 @@ def _sum_product(factors: Iterable[Tuple[tuple, dict]], order: Sequence[str],
         if not table:
             return 0
         if scope:
-            buckets[min(pos[v] for v in scope)].append((scope, table))
+            buckets[min(map(pos.__getitem__, scope))].append((scope, table))
     for i, var in enumerate(order):
         bucket = buckets[i]
         buckets[i] = None
@@ -375,7 +376,7 @@ def _sum_product(factors: Iterable[Tuple[tuple, dict]], order: Sequence[str],
         if not table:
             return 0
         if scope:
-            buckets[min(pos[v] for v in scope)].append(message)
+            buckets[min(map(pos.__getitem__, scope))].append(message)
         else:
             total *= table[()]
     return total
@@ -422,7 +423,7 @@ class _Analysis:
     """
 
     def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig):
-        self.core = core_of_query(q, hom)
+        self.core = _core_of_query(q, hom)
         self.hypergraph, self.components, self.free_atoms = _split(self.core)
         self.contract_graph = contract(self.hypergraph)
         self.contract_td = decompose(primal_graph(self.contract_graph))

@@ -4,7 +4,15 @@ The backtracking solver here is deliberately straightforward: it is the
 oracle the structural counting pipeline is verified against, so clarity and
 exactness win over cleverness. Each atom becomes one constraint over its
 distinct variables, and domains are pruned to generalized arc
-consistency once per search. Pinned variables are set first, all at once,
+consistency once per search. A unary constraint is revised once, before
+the others, since shrinking domains keep it satisfied. A revision of a
+wider constraint keeps the rows inside the current domains, testing only
+the positions whose domain is no longer the whole target, and reads every
+position's supported values off the kept rows in one pass; only a domain
+that shrinks is rebuilt, from its sorted list. Sets of supported values
+are only tested, never iterated, so the string hash seed reaches no domain
+or order. Variables share one sorted list of the target's values until a
+revision shrinks theirs. Pinned variables are set first, all at once,
 and the constraints among them checked in one pass; the others follow in
 a static order (smallest domain first), values in sorted order, so every
 result is deterministic. In a pinned search each later variable draws its
@@ -14,20 +22,19 @@ variables' arc-consistent domains in turn. Counts use Python integers and
 are never approximated; running out of budget raises, it does not round.
 
 A search is built from bare atom lists and tuple sets; ``_search`` builds
-one for two structures after checking their vocabularies.
+one for two structures after checking their types and vocabularies.
 """
 
 from __future__ import annotations
 
 import reprlib
 import sys
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceBudgetError, _check_int
+from .errors import InputError, ResourceBudgetError, _check_int, _require
 from .structures import Assignment, ConjunctiveQuery, RelationalStructure
 
 
@@ -79,16 +86,19 @@ def _atom_factor(t: tuple, table: Collection[tuple]) -> Tuple[tuple, Collection[
     it as is, shared; otherwise a new dict maps to 1 each row that agrees on
     a repeated variable's positions, projected onto the first occurrences.
     """
+    if len(set(t)) == len(t):
+        return t, table
     scope = tuple(dict.fromkeys(t))
-    if len(scope) == len(t):
-        return scope, table
-    first = {v: t.index(v) for v in scope}
+    keep = [t.index(v) for v in scope]
     rows = table
     for i, v in enumerate(t):
-        if first[v] != i:
-            rows = [row for row in rows if row[i] == row[first[v]]]
-    keep = list(first.values())
-    return scope, {tuple([row[i] for i in keep]): 1 for row in rows}
+        j = t.index(v)
+        if j != i:
+            rows = [row for row in rows if row[i] == row[j]]
+    if len(keep) == 1:
+        i = keep[0]
+        return scope, dict.fromkeys([(row[i],) for row in rows], 1)
+    return scope, dict.fromkeys(map(itemgetter(*keep), rows), 1)
 
 
 class _Plan(NamedTuple):
@@ -115,8 +125,9 @@ class _HomSearch:
     sets. Each atom with variables becomes one constraint: its factor
     ``(scope, rows)`` from ``_atom_factor``, as in Σ-elimination, which
     keeps the target's tuple set unless the atom repeats a variable. A variable
-    starts with the sorted target domain or its ``start`` entry; one
-    starting value acts as a singleton unary relation pinning it there.
+    starts with the sorted target domain, a list all such variables share,
+    or its ``start`` entry; one starting value acts as a singleton unary
+    relation pinning it there. No domain list is changed in place.
 
     Building the context indexes the instance once; ``solutions`` can then
     be called many times with different pinned variables (this is what makes
@@ -137,30 +148,45 @@ class _HomSearch:
 
     def __init__(self, atoms: Sequence[Tuple[str, tuple]], src_domain: Sequence[str],
                  relations: Mapping[str, frozenset], dst_domain: Sequence[str],
-                 start: Optional[Mapping[str, Sequence[str]]] = None,
+                 start: Optional[Mapping[str, list]] = None,
                  cfg: HomSearchConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.src_domain = src_domain
         self.dst_domain = dst_domain
-        values = sorted(dst_domain)
-        start = start or {}
-        self.base = {v: list(start.get(v, values)) for v in src_domain}
+        # Variables share one sorted value list until a revision shrinks it.
+        self.values = values = sorted(dst_domain)
+        if start:
+            self.base = base = {v: start.get(v, values) for v in src_domain}
+        else:
+            self.base = base = dict.fromkeys(src_domain, values)
         # An empty target leaves no value for any source variable.
-        self.feasible = bool(values) or not self.base
-        self.constraints = []
-        # Variable -> indices of the constraints it occurs in.
-        self.watch = {v: [] for v in src_domain}
+        feasible = bool(values) or not base
+        self.constraints = constraints = []
+        # Variable -> indices of the constraints of two or more variables it occurs in.
+        self.watch = watch = {v: [] for v in src_domain}
+        unary, wider = [], []
         for name, t in atoms:
             if not t:
                 # A 0-ary source tuple is a bare truth requirement on the target.
-                self.feasible = self.feasible and () in relations[name]
+                feasible = feasible and () in relations[name]
                 continue
             constraint = _atom_factor(t, relations[name])
-            for v in constraint[0]:
-                self.watch[v].append(len(self.constraints))
-            self.constraints.append(constraint)
-        if self.feasible:
-            self.feasible = self._propagate(self.base, range(len(self.constraints)))
+            ci = len(constraints)
+            constraints.append(constraint)
+            if len(constraint[0]) == 1:
+                unary.append(constraint)
+            else:
+                wider.append(ci)
+                for v in constraint[0]:
+                    watch[v].append(ci)
+        # A unary constraint is revised once, first: shrinking domains keep it satisfied.
+        for (v,), rows in unary:
+            d = base[v]
+            new = [b for b in d if (b,) in rows]
+            if len(new) != len(d):
+                base[v] = new
+                feasible = feasible and bool(new)
+        self.feasible = feasible and self._propagate(base, wider)
 
     def avoiding(self, value: str) -> _HomSearch:
         """This search with ``value`` removed from every domain.
@@ -174,66 +200,70 @@ class _HomSearch:
         view = object.__new__(_HomSearch)  # shares the instance's index
         view.__dict__.update(self.__dict__)
         view.base = dom = dict(self.base)
-        changed = [v for v, d in dom.items() if value in d]
-        for v in changed:
-            dom[v] = [b for b in dom[v] if b != value]
-            if not dom[v]:
-                view.feasible = False
-        if view.feasible:
-            view.feasible = view._propagate(
-                dom, sorted({ci for v in changed for ci in self.watch[v]}))
+        start = set()
+        for v, d in dom.items():
+            if value in d:
+                dom[v] = [b for b in d if b != value]
+                start.update(self.watch[v])
+        view.feasible = self.feasible and all(dom.values()) and view._propagate(dom, sorted(start))
         return view
 
     def _propagate(self, dom: dict, start: Iterable[int]) -> bool:
-        # Generalized arc consistency: shrink each domain to supported
-        # values, re-queueing the constraints on each shrunk variable.
-        queue = deque(start)
+        # Generalized arc consistency. Each revision keeps the rows inside the
+        # current domains (a domain that is still the whole target needs no
+        # test), reads each position's supported values off them in one pass,
+        # and rebuilds and re-queues only the domains that shrink.
+        values, constraints, watch = self.values, self.constraints, self.watch
+        queue = list(start)
         queued = set(queue)
-        while queue:
-            ci = queue.popleft()
+        for ci in queue:  # the loop also reaches the constraints queued on the way
             queued.discard(ci)
-            scope, rows = self.constraints[ci]
-            for i, v in enumerate(scope):
-                allowed = set(dom[v])
-                rows = [row for row in rows if row[i] in allowed]
-            shrunk = []
-            for i, v in enumerate(scope):
-                supported = {row[i] for row in rows}
-                new = [b for b in dom[v] if b in supported]
-                if len(new) != len(dom[v]):
-                    if not new:
-                        return False
-                    dom[v] = new
-                    shrunk.append(v)
-            for v in shrunk:
-                for cj in self.watch[v]:
-                    if cj != ci and cj not in queued:
-                        queue.append(cj)
-                        queued.add(cj)
+            scope, rows = constraints[ci]
+            doms = [dom[v] for v in scope]
+            kept = rows
+            for i, d in enumerate(doms):
+                if d is not values:
+                    allowed = set(d)
+                    kept = [row for row in kept if row[i] in allowed]
+            if not kept:
+                return False
+            # Kept rows lie inside the domains: a domain shrinks iff fewer
+            # of its values are supported than it holds.
+            for v, d, column in zip(scope, doms, zip(*kept)):
+                supported = set(column)
+                if len(supported) != len(d):
+                    dom[v] = [b for b in d if b in supported]
+                    for cj in watch[v]:
+                        if cj != ci and cj not in queued:
+                            queue.append(cj)
+                            queued.add(cj)
         return True
 
     def _plan(self, pinned: Tuple[str, ...]) -> _Plan:
-        base = self.base
+        base, constraints = self.base, self.constraints
         rest = sorted(base, key=lambda v: (len(base[v]), v))
         if pinned:
-            pinned_set = set(pinned)
-            rest = [v for v in rest if v not in pinned_set]
-        pos = {v: i for i, v in enumerate((*pinned, *rest))}
+            rest = [v for v in rest if v not in pinned]
+        order = [*pinned, *rest]
+        pos = dict(zip(order, range(len(order))))
         # Each constraint is checked as soon as its last variable is set.
-        triggers = [[] for _ in pos]
-        for scope, rows in self.constraints:
-            triggers[max(pos[v] for v in scope)].append((rows, scope))
+        triggers = [[] for _ in order]
+        at = pos.__getitem__
+        for scope, rows in constraints:
+            triggers[max(map(at, scope))].append((rows, scope))
+        if not pinned:
+            return _Plan((), [], [(v, base[v], None, triggers[i]) for i, v in enumerate(rest)])
         steps = []
         for i, v in enumerate(rest, len(pinned)):
             candidates, key = base[v], None
-            if pinned:
-                # The constraint on v covering the most variables set before it.
-                ci, before = max(
-                    ((ci, {u for u in self.constraints[ci][0] if pos[u] < i})
-                     for ci in self.watch[v]),
-                    key=lambda c: len(c[1]), default=(None, ()))
-                if before:
-                    candidates, key = self._support_index(ci, v, sorted(before))
+            # The first constraint on v covering the most variables set before it.
+            best, before = None, []
+            for ci in self.watch[v]:
+                earlier = [u for u in constraints[ci][0] if pos[u] < i]
+                if len(earlier) > len(before):
+                    best, before = ci, earlier
+            if before:
+                candidates, key = self._support_index(best, v, sorted(before))
             steps.append((v, candidates, key, triggers[i]))
         return _Plan(pinned, [c for cs in triggers[:len(pinned)] for c in cs], steps)
 
@@ -341,9 +371,10 @@ class _HomSearch:
 
 def _search(src: RelationalStructure, dst: RelationalStructure,
             cfg: HomSearchConfig = DEFAULT_CONFIG) -> _HomSearch:
-    """The search for homomorphisms src -> dst, vocabularies checked first."""
-    check_vocabulary(src, dst)
-    return _HomSearch(src.atoms(), src.domain, dst.relations, dst.domain, cfg=cfg)
+    """The search for homomorphisms src -> dst, argument types and vocabularies checked first."""
+    check_vocabulary(_require(src, RelationalStructure), _require(dst, RelationalStructure))
+    return _HomSearch(src.atoms(), src.domain, dst.relations, dst.domain,
+                      cfg=_require(cfg, HomSearchConfig))
 
 
 def find_extension(src: RelationalStructure, dst: RelationalStructure,
@@ -401,7 +432,8 @@ def _check_candidates(size: int, free: int, cfg: HomSearchConfig) -> None:
 def _answer_iter(q: ConjunctiveQuery, dst: RelationalStructure,
                  cfg: HomSearchConfig) -> Iterator[tuple]:
     """The answers of ``q`` in ``dst``, sorted; the candidate count is checked first."""
-    _check_candidates(len(dst.domain), len(q.free_vars), cfg)
+    _check_candidates(len(_require(dst, RelationalStructure).domain),
+                      len(_require(q, ConjunctiveQuery).free_vars), _require(cfg, HomSearchConfig))
     return _answers(_search(q.structure, dst, cfg), q.free_vars)
 
 

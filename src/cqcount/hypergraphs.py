@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 from .errors import InputError, ResourceBudgetError, _require
@@ -63,7 +64,9 @@ class SHypergraph:
         members. Kept on the value: equality and hashing read only the fields.
         """
         s_set = self.s_set
-        parent: Dict[str, str] = {}
+        parent = {v: v for v in self.vertices if v not in s_set}
+        if not parent:
+            return ()
 
         def find(v):
             while parent[v] != v:
@@ -73,20 +76,19 @@ class SHypergraph:
 
         noted = []
         for e in self.edges:
-            inside = [v for v in e if v not in s_set]
+            inside = [v for v in e if v in parent]
             if not inside:
                 continue
-            root = find(parent.setdefault(inside[0], inside[0]))
+            root = find(inside[0])
             for other in inside[1:]:
-                r = find(parent.setdefault(other, other))
+                r = find(other)
                 if r != root:
                     parent[r] = root
             noted.append((inside[0], e))
 
         groups: Dict[str, Tuple[list, list]] = {}
-        for v in self.vertices:
-            if v not in s_set:
-                groups.setdefault(find(v) if v in parent else v, ([], []))[0].append(v)
+        for v in parent:
+            groups.setdefault(find(v), ([], []))[0].append(v)
         for v, e in noted:
             groups[find(v)][1].append(e)
 
@@ -152,7 +154,7 @@ def hypergraph_of(q: ConjunctiveQuery) -> SHypergraph:
     Duplicate edges collapse; 0-ary atoms contribute no edge.
     """
     relations = _require(q, ConjunctiveQuery).structure.relations
-    edges = frozenset({frozenset(t) for ts in relations.values() for t in ts if t})
+    edges = frozenset([frozenset(t) for ts in relations.values() for t in ts if t])
     return _unchecked(SHypergraph, vertices=q.structure.domain, edges=edges,
                       s_set=frozenset(q.free_vars))
 
@@ -220,25 +222,15 @@ def contract(h: SHypergraph) -> SHypergraph:
     if not comps:
         return h
     s_set = h.s_set
-    new_edges = set()
-    for e in h.edges:
-        r = e if e <= s_set else frozenset(v for v in e if v in s_set)
-        if r:
-            new_edges.add(r)
-    for comp in comps:
-        for i, u in enumerate(comp.free_scope):
-            for v in comp.free_scope[i + 1:]:
-                new_edges.add(frozenset((u, v)))
-    verts = tuple(v for v in h.vertices if v in s_set)
+    new_edges = {e if e <= s_set else e & s_set for e in h.edges}
+    new_edges.discard(frozenset())
+    new_edges.update(frozenset(p) for comp in comps for p in combinations(comp.free_scope, 2))
+    verts = tuple([v for v in h.vertices if v in s_set])
     return _unchecked(SHypergraph, vertices=verts, edges=frozenset(new_edges), s_set=s_set)
 
 
 def primal_graph(h: SHypergraph) -> Graph:
     """Vertices of ``h`` with an edge for every pair sharing a hyperedge."""
-    pairs = set()
-    for e in _require(h, SHypergraph).edges:
-        inside = tuple(e)
-        for i, u in enumerate(inside):
-            for v in inside[i + 1:]:
-                pairs.add(frozenset((u, v)))
-    return _unchecked(Graph, vertices=tuple(sorted(h.vertices)), edges=frozenset(pairs))
+    pairs = frozenset([frozenset(p) for e in _require(h, SHypergraph).edges
+                       for p in combinations(e, 2)])
+    return _unchecked(Graph, vertices=tuple(sorted(h.vertices)), edges=pairs)

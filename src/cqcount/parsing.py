@@ -23,7 +23,7 @@ import warnings
 from pathlib import Path
 from typing import List, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, _require
 from .structures import (
     ConjunctiveQuery,
     RelationalStructure,
@@ -185,12 +185,35 @@ def render_query(q: ConjunctiveQuery) -> str:
     Only natural models of the grammar render faithfully: a quantified
     variable occurring in no atom has no place in the text.
     """
-    atoms = q.structure.atoms()
-    atoms = [(name, t) for name, t in atoms if t]
+    atoms = [(name, t) for name, t in _require(q, ConjunctiveQuery).structure.atoms() if t]
     if not atoms:
         raise InputError("cannot render a query without atoms")
     rendered = ", ".join(f"{name}({','.join(t)})" for name, t in atoms)
     return f"{HEAD_NAME}({','.join(q.free_vars)}) :- {rendered}."
+
+
+# Longest file path an error message shows in full.
+SHOWN_PATH_CAP = 120
+
+
+def _shown_path(path: Union[str, Path]) -> str:
+    """``path`` for an error message: as given, or its two ends past ``SHOWN_PATH_CAP`` characters."""
+    text = str(path)
+    if len(text) <= SHOWN_PATH_CAP:
+        return text
+    half = SHOWN_PATH_CAP // 2
+    return f"{text[:half]}...{text[-half:]}"
+
+
+def _read_text(path: Union[str, Path]) -> str:
+    """A file's UTF-8 text; InputError naming the path once, and why it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason})"
+    raise InputError(f"cannot read {_shown_path(path)}: {reason}")
 
 
 def load_database(path: Union[str, Path]) -> RelationalStructure:
@@ -200,20 +223,17 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
     1..8 as in queries (structures themselves accept any arity), and
     elements must be strings. Duplicate tuples are collapsed with a warning.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    raw = _read_text(path)
+    shown = _shown_path(path)
     try:
         data = json.loads(raw)
     except ValueError as exc:
         # Malformed JSON, or a number past Python's int/str digit limit.
-        raise InputError(f"cannot read {path} as JSON: {exc}") from None
+        raise InputError(f"cannot read {shown} as JSON: {exc}") from None
     except RecursionError:
-        raise InputError(f"{path} nests deeper than the recursion limit") from None
+        raise InputError(f"{shown} nests deeper than the recursion limit") from None
     if not isinstance(data, dict) or not isinstance(data.get("relations"), dict):
-        raise InputError(f'{path} must be a JSON object with a "relations" object')
+        raise InputError(f'{shown} must be a JSON object with a "relations" object')
     structure = structure_from_dict(data)
     for name, arity in structure.vocabulary.symbols.items():
         if name.startswith(RESERVED_PREFIX):

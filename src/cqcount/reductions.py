@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cores import core_of_query
 from .counting import _join, _key_getter, _relation_factors
-from .errors import InputError, InternalError, ResourceBudgetError, _check_int
+from .errors import InputError, InternalError, ResourceBudgetError, _check_int, _require
 from .homomorphisms import (
     DEFAULT_CONFIG,
     HomSearchConfig,
@@ -85,7 +85,8 @@ def pair_structure(a: RelationalStructure, b: RelationalStructure) -> PairDomain
     ``star_structure(a)``. The first-coordinate projection is checked to be
     a homomorphism from D back to ``a``.
     """
-    pins = pin_relation_names(a)
+    _require(b, RelationalStructure)
+    pins = pin_relation_names(_require(a, RelationalStructure))
     for elem, name in pins.items():
         if b.vocabulary.symbols.get(name) != 1:
             raise InputError(
@@ -122,7 +123,7 @@ def blowup(dstruct: PairDomainStructure, t_subset: Sequence[str],
     """
     _check_int("copies", copies, 1)
     t_set = set(t_subset)
-    base = dstruct.structure
+    base = _require(dstruct, PairDomainStructure).structure
     twins: Dict[str, Tuple[str, ...]] = {}
     for e in base.domain:
         a, b = dstruct.pair_of[e]

@@ -8,7 +8,9 @@ deterministic. Mappings (``Vocabulary.symbols``,
 structures and queries compare and hash by value: equal values built along
 different routes (another insertion order, ``structure_from_dict`` or the
 constructor) are interchangeable as dictionary keys, which is what lets
-``core_of_query`` memoise its results and share them between callers.
+``core_of_query`` memoise its results and share them between callers. A
+structure keeps its hash once computed; pickles carry only the fields,
+since string hashes differ between processes.
 
 A conjunctive query is kept in natural-model form: a structure whose domain
 is the set of query variables, paired with the ordered tuple of free
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .errors import InputError, _check_int
+from .errors import InputError, _check_int, _require
 
 # User-facing relation names may not start with "__"; that prefix is
 # reserved for relations the library adds itself, all named by
@@ -48,6 +50,16 @@ def _unchecked(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _from_pickle(cls, fields: dict, view: str):
+    """``cls`` rebuilt from pickled fields, the mapping field ``view`` made read-only again.
+
+    Pickles carry the fields alone: read-only views do not pickle, and the
+    cached hash depends on the process's string hash seed.
+    """
+    fields[view] = MappingProxyType(fields[view])
+    return _unchecked(cls, **fields)
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,9 @@ class Vocabulary:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.symbols.items()))
+
+    def __reduce__(self):
+        return _from_pickle, (Vocabulary, {"symbols": dict(self.symbols)}, "symbols")
 
     def arity(self, name: str) -> int:
         try:
@@ -129,7 +144,18 @@ class RelationalStructure:
         object.__setattr__(self, "relations", MappingProxyType(rels))
 
     def __hash__(self) -> int:
-        return hash((self.vocabulary, self.domain, frozenset(self.relations.items())))
+        # Computed once and kept; a pickle leaves it out (see _from_pickle).
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(
+                (self.vocabulary, self.domain, frozenset(self.relations.items())))
+            return h
+
+    def __reduce__(self):
+        return _from_pickle, (RelationalStructure, {
+            "vocabulary": self.vocabulary, "domain": self.domain,
+            "relations": dict(self.relations)}, "relations")
 
     def tuples(self, name: str) -> frozenset:
         return self.relations.get(name, frozenset())
@@ -163,7 +189,7 @@ class ConjunctiveQuery:
     @property
     def quantified_vars(self) -> Tuple[str, ...]:
         free = set(self.free_vars)
-        return tuple(v for v in self.structure.domain if v not in free)
+        return tuple([v for v in self.structure.domain if v not in free])
 
 
 def induced_substructure(a: RelationalStructure, keep: Iterable) -> RelationalStructure:
@@ -236,6 +262,7 @@ def star_structure(a: RelationalStructure) -> RelationalStructure:
 
 def structure_to_dict(a: RelationalStructure) -> dict:
     """JSON-ready form; matches the database file format exactly."""
+    _require(a, RelationalStructure)
     return {
         "domain": list(a.domain),
         "relations": {

@@ -42,7 +42,7 @@ from cqcount import (
 )
 from cqcount import counting
 from cqcount.cli import main
-from cqcount.cores import CORE_CACHE_SIZE
+from cqcount.cores import CORE_CACHE_SIZE, _core_of_query
 from cqcount.counting import MODE_AUTO, MODE_STRUCTURAL, _analyse
 from cqcount.generators import random_instance, redundant_variant
 from cqcount.hypergraphs import Graph, SHypergraph
@@ -53,7 +53,7 @@ CONFIGS = [CountingConfig(mode=mode) for mode in (MODE_AUTO, MODE_STRUCTURAL)]
 
 def uncached_report(q, cfg, k_core=3, k_contract=3):
     """classify's JSON, from the undecorated core and decomposition functions."""
-    core = core_of_query.__wrapped__(q, cfg.hom)
+    core = _core_of_query.__wrapped__(q, cfg.hom)
     h = hypergraph_of(core)
     cg = contract(h)
     core_td = _decompose.__wrapped__(primal_graph(h))
@@ -90,12 +90,12 @@ def test_cold_and_warm_caches_agree_with_uncached(cfg):
     cold = [analyse(q, b, cfg, cold=True) for q, b in instances]
     clear()
     warm = [analyse(q, b, cfg, cold=False) for q, b in instances]
-    assert core_of_query.cache_info().hits and _decompose.cache_info().hits
+    assert _core_of_query.cache_info().hits and _decompose.cache_info().hits
     assert _analyse.cache_info().hits
     for (q, b), got, again in zip(instances, cold, warm):
         assert got == again
         assert got[0] == count_answers_brute(q, b, cfg.hom)
-        assert got[1] == got[3] == core_of_query.__wrapped__(q, cfg.hom)
+        assert got[1] == got[3] == _core_of_query.__wrapped__(q, cfg.hom)
         assert got[2] == uncached_report(q, cfg)
         # warm, classify hands out the very core object count_answers cached
         assert again[3] is again[1]
@@ -119,12 +119,12 @@ def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
         q, b = random_instance(rng, max_vars=6, max_free=3, max_target=4)
         clear()
         count_answers(q, b)
-        cores = core_of_query.cache_info()
+        cores = _core_of_query.cache_info()
         computed = _decompose.cache_info().misses
         graphs.clear()
         report = classify(q)
         quantified = bool(report.core_query.quantified_vars)
-        assert core_of_query.cache_info() == cores
+        assert _core_of_query.cache_info() == cores
         assert graphs == [primal_graph(hypergraph_of(report.core_query))] * quantified
         assert _decompose.cache_info().misses == computed + quantified
         graphs.clear()
@@ -208,7 +208,7 @@ def test_one_pass_analysis_matches_the_public_steps():
         if trial % 4 == 2:
             q = with_zero_ary_atom(q)
         analysis = _analyse(q, cfg.hom)
-        core = core_of_query.__wrapped__(q, cfg.hom)
+        core = _core_of_query.__wrapped__(q, cfg.hom)
         assert analysis.core == core
         for query in (q, core):
             h, subqueries, free_atoms = counting._split(query)
@@ -257,12 +257,12 @@ def test_equal_queries_share_one_entry():
     text = "answer(x) :- E(x,y), E(y,z), E(x,w)."
     first = parse_query(text)
     core = core_of_query(first)
-    info = core_of_query.cache_info()
+    info = _core_of_query.cache_info()
     again = parse_query("answer(x) :-  E(x,w), E(x,y),E(y,z) .")
     assert again is not first and again == first
     assert core_of_query(again) is core
-    assert core_of_query.cache_info().hits == info.hits + 1
-    assert core_of_query.cache_info().currsize == info.currsize
+    assert _core_of_query.cache_info().hits == info.hits + 1
+    assert _core_of_query.cache_info().currsize == info.currsize
 
 
 def test_budget_errors_are_not_cached():
@@ -275,7 +275,7 @@ def test_budget_errors_are_not_cached():
                      lambda: classify(q, cfg=budgeted)):
             with pytest.raises(ResourceBudgetError):
                 call()
-    assert core_of_query.cache_info().currsize == 0
+    assert _core_of_query.cache_info().currsize == 0
     assert _analyse.cache_info().currsize == 0
     # a default-budget entry is never served to a budgeted call
     assert len(core_of_query(q).structure.domain) == 3
@@ -300,8 +300,8 @@ def test_cache_sizes_stay_bounded():
     for i in range(CORE_CACHE_SIZE + 20):
         q = ConjunctiveQuery(digraph(["x", f"y{i}"], [("x", f"y{i}")]), ("x",))
         core_of_query(q)
-        assert core_of_query.cache_info().currsize <= CORE_CACHE_SIZE
-    assert core_of_query.cache_info().currsize == CORE_CACHE_SIZE
+        assert _core_of_query.cache_info().currsize <= CORE_CACHE_SIZE
+    assert _core_of_query.cache_info().currsize == CORE_CACHE_SIZE
     for i in range(DECOMPOSITION_CACHE_SIZE + 20):
         decompose(Graph(("a", f"b{i}"), {frozenset(("a", f"b{i}"))}))
         assert _decompose.cache_info().currsize <= DECOMPOSITION_CACHE_SIZE

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from conftest import digraph, naive_homomorphisms, relabel, structure, undirected
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cqcount import (
     ConjunctiveQuery,
@@ -29,7 +31,9 @@ from cqcount import (
     render_query,
     structure_to_dict,
 )
+from cqcount import cores
 from cqcount.cli import main
+from cqcount.cores import _core_of_query
 from cqcount.generators import (
     clique_graph,
     random_instance,
@@ -182,21 +186,24 @@ def reference_retraction(a, cfg, order):
     return None
 
 
-def reference_shrink(a, cfg, candidates):
+def reference_shrink(a, cfg, candidates, rounds=None):
+    """The per-candidate reference; ``rounds``, a list, gets one entry per retraction."""
     current = a
     while True:
         present = set(current.domain)
         h = reference_retraction(current, cfg, [v for v in candidates if v in present])
         if h is None:
             return current
+        if rounds is not None:
+            rounds.append(h)
         current = induced_substructure(current, sorted(set(h.values())))
 
 
-def reference_core_of_query(q, cfg):
+def reference_core_of_query(q, cfg, rounds=None):
     if not q.quantified_vars:
         return q
     pinned = _with_pins(q.structure, q.free_vars)
-    core = reference_shrink(pinned, cfg, sorted(q.quantified_vars))
+    core = reference_shrink(pinned, cfg, sorted(q.quantified_vars), rounds)
     return ConjunctiveQuery(induced_substructure(q.structure, core.domain), q.free_vars)
 
 
@@ -220,21 +227,46 @@ def naive_arc_consistent_domains(src, dst):
     return dom
 
 
+def assert_greatest_fixpoint(search, q, b):
+    """The search's root domains are the naive fixpoint; returns whether one is wiped out."""
+    want = naive_arc_consistent_domains(q.structure, b)
+    wiped_out = any(not d for d in want.values())
+    zero_ary_fails = any(() in ts and () not in b.tuples(name)
+                         for name, ts in q.structure.relations.items())
+    assert search.feasible == (not wiped_out and not zero_ary_fails)
+    if search.feasible:
+        assert {v: set(d) for v, d in search.base.items()} == want
+        # every domain is sorted, and a domain equal to the target's is its one shared list
+        for d in search.base.values():
+            assert d == sorted(d)
+            assert d is search.values or len(d) < len(search.values)
+    return wiped_out
+
+
 def test_arc_consistency_reaches_the_greatest_fixpoint():
     rng = random.Random(36)
     wiped = 0
     for _ in range(200):
         q, b = random_instance(rng, max_vars=6, max_atoms=6, max_target=4)
-        want = naive_arc_consistent_domains(q.structure, b)
-        search = _search(q.structure, b)
-        wiped_out = any(not d for d in want.values())
-        zero_ary_fails = any(() in ts and () not in b.tuples(name)
-                             for name, ts in q.structure.relations.items())
-        wiped += wiped_out
-        assert search.feasible == (not wiped_out and not zero_ary_fails)
-        if search.feasible:
-            assert {v: set(d) for v, d in search.base.items()} == want
+        wiped += assert_greatest_fixpoint(_search(q.structure, b), q, b)
     assert wiped >= 20
+    # Relations of arity up to 4, and each view avoiding one target value:
+    # a view restores arc consistency from the constraints on the variables
+    # that lost the value, and reaches the fixpoint of the smaller target.
+    rng = random.Random(38)
+    arities, views = set(), 0
+    for _ in range(150):
+        q, b = random_instance(rng, max_vars=6, max_atoms=6, max_target=4, max_arity=4)
+        arities.update(q.structure.vocabulary.symbols.values())
+        search = _search(q.structure, b)
+        assert_greatest_fixpoint(search, q, b)
+        if not search.feasible:
+            continue
+        for value in b.domain:
+            smaller = induced_substructure(b, [e for e in b.domain if e != value])
+            assert_greatest_fixpoint(search.avoiding(value), q, smaller)
+            views += 1
+    assert 4 in arities and views >= 200
 
 
 def test_shared_search_matches_per_candidate_reference(monkeypatch):
@@ -289,6 +321,57 @@ def test_shared_search_matches_per_candidate_reference(monkeypatch):
     assert pinned >= 20
 
 
+# Seeds whose queries need two or more retraction rounds (checked below).
+SEVERAL_ROUNDS = [(7, False), (15, True), (47, True)]
+
+
+def drawn_query(seed, redundant):
+    rng = random.Random(seed)
+    q = random_query(rng, max_vars=7, max_free=3, max_atoms=6)
+    return redundant_variant(rng, q) if redundant else q
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(*SEVERAL_ROUNDS[0])
+@example(*SEVERAL_ROUNDS[1])
+@example(*SEVERAL_ROUNDS[2])
+def test_query_cores_match_the_per_candidate_reference(seed, redundant):
+    # Candidates proved undroppable in one round are not offered again, and
+    # candidates in the only tuple of a relation are never offered; the core
+    # is still the one a fresh search per candidate and round finds.
+    q = drawn_query(seed, redundant)
+    cfg = HomSearchConfig()
+    assert _core_of_query.__wrapped__(q, cfg) == reference_core_of_query(q, cfg)
+
+
+def test_the_several_round_examples_need_several_rounds():
+    for seed, redundant in SEVERAL_ROUNDS:
+        rounds = []
+        reference_core_of_query(drawn_query(seed, redundant), HomSearchConfig(), rounds)
+        assert len(rounds) >= 2
+
+
+def test_a_variable_proved_undroppable_is_not_searched_again(monkeypatch):
+    # The first round folds y onto z. z's root domain was {y, z}, which
+    # meets the image {x, z} only in z, so z is kept without a second
+    # search, which would only confirm it.
+    q = parse_query("answer(x) :- E(x,y), E(x,z).")
+    built = []
+
+    class Counted(_HomSearch):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cores, "_HomSearch", Counted)
+    core = _core_of_query.__wrapped__(q, HomSearchConfig())
+    assert core.structure.domain == ("x", "z")
+    assert built == [q.structure.domain]
+    assert reference_core_of_query(q, HomSearchConfig()) == core
+
+
 def equivalent_fixing_free(q, sub):
     """Some map of q into its induced subquery sub fixes every free variable.
 
@@ -332,14 +415,14 @@ def smallest_core_budget(q):
     low, high = 1, 1
     while True:
         try:
-            core_of_query.__wrapped__(q, HomSearchConfig(node_budget=high))
+            _core_of_query.__wrapped__(q, HomSearchConfig(node_budget=high))
             break
         except ResourceBudgetError:
             low, high = high + 1, 2 * high
     while low < high:
         mid = (low + high) // 2
         try:
-            core_of_query.__wrapped__(q, HomSearchConfig(node_budget=mid))
+            _core_of_query.__wrapped__(q, HomSearchConfig(node_budget=mid))
             high = mid
         except ResourceBudgetError:
             low = mid + 1
@@ -360,10 +443,10 @@ def test_core_budgets_match_the_pinned_reference():
             continue
         budget = smallest_core_budget(q)
         enough = HomSearchConfig(node_budget=budget)
-        assert reference_core_of_query(q, enough) == core_of_query.__wrapped__(q, enough)
+        assert reference_core_of_query(q, enough) == _core_of_query.__wrapped__(q, enough)
         if budget > 1:
             short = HomSearchConfig(node_budget=budget - 1)
-            for core in (core_of_query.__wrapped__, reference_core_of_query):
+            for core in (_core_of_query.__wrapped__, reference_core_of_query):
                 with pytest.raises(ResourceBudgetError):
                     core(q, short)
         budgets.add(budget)

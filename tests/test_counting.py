@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from conftest import digraph, naive_answer_set, structure
@@ -698,3 +702,34 @@ def test_report_consistency_invariant():
     blob = report.to_json_dict()
     assert blob["case_label"] == CASE_II
     assert blob["core_treewidth"]["width"] == 4
+
+
+def test_results_do_not_depend_on_the_string_hash_seed():
+    # Arc consistency builds sets of supported values, and their iteration
+    # order follows the string hash seed; none of it may reach a count, a
+    # core or a report.
+    script = (
+        "import json, random\n"
+        "from cqcount import classify, core_of_query, count_answers\n"
+        "from cqcount.generators import random_instance\n"
+        "rng = random.Random(44)\n"
+        "done = 0\n"
+        "while done < 200:\n"
+        "    q, b = random_instance(rng, max_vars=6, max_free=3, max_target=4)\n"
+        "    if not q.quantified_vars:\n"
+        "        continue\n"
+        "    done += 1\n"
+        "    core = core_of_query(q)\n"
+        "    print(count_answers(q, b), core.structure.domain, core.structure.atoms(),\n"
+        "          json.dumps(classify(q).to_json_dict(), sort_keys=True))\n"
+    )
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") == 200
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -10,14 +10,24 @@ from cqcount import (
     InputError,
     ResourceBudgetError,
     SHypergraph,
+    blowup,
     classify,
     contract,
+    contract_instance,
+    core_of_query,
+    core_of_structure,
     count_answers,
+    enumerate_answers,
     exact_treewidth,
+    hom_exists,
     hypergraph_of,
+    is_core,
+    pair_structure,
     primal_graph,
+    render_query,
     s_components,
     star_sizes,
+    structure_to_dict,
     verify_decomposition,
 )
 from cqcount.generators import random_query
@@ -59,9 +69,22 @@ _G = Graph(("a",), frozenset())
     (lambda: classify(None), "ConjunctiveQuery"),
     (lambda: classify(_Q, cfg="x"), "CountingConfig"),
     (lambda: verify_decomposition(_G, "td"), "TreeDecomposition"),
+    (lambda: core_of_structure(1), "RelationalStructure"),
+    (lambda: is_core(1), "RelationalStructure"),
+    (lambda: core_of_query([]), "ConjunctiveQuery"),
+    (lambda: core_of_query(_Q, cfg=[]), "HomSearchConfig"),
+    (lambda: pair_structure(1, 2), "RelationalStructure"),
+    (lambda: blowup(None, [], 2), "PairDomainStructure"),
+    (lambda: render_query(1), "ConjunctiveQuery"),
+    (lambda: enumerate_answers(_Q, 1), "RelationalStructure"),
+    (lambda: hom_exists(1, 2), "RelationalStructure"),
+    (lambda: contract_instance(_Q, 1), "RelationalStructure"),
+    (lambda: structure_to_dict(1), "RelationalStructure"),
 ], ids=["s_components", "contract", "star_sizes", "primal_graph", "hypergraph_of",
         "count-q", "count-target", "count-cfg", "classify-q", "classify-cfg",
-        "verify-td"])
+        "verify-td", "core_of_structure", "is_core", "core_of_query", "core_of_query-cfg",
+        "pair_structure", "blowup", "render_query", "enumerate_answers", "hom_exists",
+        "contract_instance", "structure_to_dict"])
 def test_wrong_typed_arguments_are_input_errors(call, expected):
     with pytest.raises(InputError, match=f"expected a {expected}, got ") as info:
         call()

@@ -422,6 +422,34 @@ def test_cli_non_utf8_input_is_an_input_error(bad, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def os_reason(path):
+    """The reason the operating system gives for not opening ``path``."""
+    try:
+        open(path).close()
+    except OSError as exc:
+        return exc.strerror
+    raise AssertionError(f"{path} opened")
+
+
+@pytest.mark.parametrize("bad", ["db", "query"])
+def test_cli_file_errors_name_the_path_once(bad, capsys, tmp_path):
+    # A huge path is shortened, and the reason is given without the path
+    # the OSError repeats; a missing file of an ordinary path is named whole.
+    files = {"db": str(DATA / "triangle.json"), "query": str(DATA / "edge.query")}
+    huge = "x" * 100_000
+    code, out, err = run_cli(capsys, "count", *[arg for name in ("db", "query") for arg in (
+        f"--{name}", huge if name == bad else files[name])])
+    assert (code, out) == (1, "")
+    assert len(err) < 200 and err.startswith("error: cannot read ")
+    assert err.rstrip().endswith(os_reason(huge))
+    missing = str(tmp_path / f"missing.{bad}")
+    files[bad] = missing
+    code, out, err = run_cli(capsys, "count", "--db", files["db"], "--query", files["query"])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {missing}: {os_reason(missing)}\n"
+    assert "No such file or directory" in err or os.name != "posix"
+
+
 def test_cli_vocabulary_agreement_checked(capsys, tmp_path):
     query = tmp_path / "f.query"
     query.write_text("answer(x) :- F(x,x).")

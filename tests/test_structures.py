@@ -1,4 +1,10 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from conftest import digraph, structure
@@ -9,13 +15,17 @@ from cqcount import (
     RelationalStructure,
     Vocabulary,
     augment,
+    core_of_query,
     induced_substructure,
+    parse_query,
     pin_relation_names,
     star_structure,
     structure_from_dict,
     structure_to_dict,
 )
+from cqcount.cores import _core_of_query
 from cqcount.generators import random_instance
+from cqcount.structures import _unchecked
 
 
 def test_vocabulary_validation():
@@ -196,3 +206,48 @@ def test_structure_from_dict_validation():
     for arity in ("2", True, 2.0, None, -1):
         with pytest.raises(InputError, match="arity of 'E'"):
             structure_from_dict({"relations": {"E": {"arity": arity, "tuples": []}}})
+
+
+def test_cached_hashes_are_the_hashes_of_the_values():
+    rng = random.Random(41)
+    for _ in range(40):
+        q, b = random_instance(rng)
+        for a in (q.structure, b):
+            first = hash(a)
+            assert hash(a) == first == hash((a.vocabulary, a.domain, frozenset(a.relations.items())))
+            vocab = Vocabulary(dict(a.vocabulary.symbols))
+            afresh = RelationalStructure(vocab, a.domain, {n: set(ts) for n, ts in a.relations.items()})
+            unchecked = _unchecked(RelationalStructure, vocabulary=vocab, domain=a.domain,
+                                   relations=MappingProxyType(dict(a.relations)))
+            for other in (afresh, unchecked):
+                assert other == a and hash(other) == first
+            assert hash(vocab) == hash(a.vocabulary) == hash(frozenset(vocab.symbols.items()))
+
+
+def test_pickles_rebuild_values_that_hash_like_local_ones():
+    # A value pickled in a process with another string hash seed carries no
+    # hash of that process: it equals, hashes like and memoises like the
+    # same value built here.
+    text = "answer(x) :- E(x,y), E(x,z), F(y,z,x)."
+    script = (
+        "import pickle, sys\n"
+        "from cqcount import parse_query\n"
+        f"q = parse_query({text!r})\n"
+        "hash(q), hash(q.structure.vocabulary)\n"
+        "sys.stdout.buffer.write(pickle.dumps(q))\n"
+    )
+    local = parse_query(text)
+    core = core_of_query(local)
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = pickle.loads(proc.stdout)
+        assert loaded is not local and loaded == local and hash(loaded) == hash(local)
+        assert hash(loaded.structure.vocabulary) == hash(local.structure.vocabulary)
+        assert isinstance(loaded.structure.relations, MappingProxyType)
+        hits = _core_of_query.cache_info().hits
+        assert core_of_query(loaded) is core
+        assert _core_of_query.cache_info().hits == hits + 1
