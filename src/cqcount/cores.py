@@ -35,11 +35,13 @@ search finds fixes it, and it survives into the core with the free tuple
 unchanged. Under arc consistency this gives the same domains, variable
 order and solutions as pinning each free variable with a singleton unary
 relation (``augment``) and coring the pinned structure.
+
+Nothing here is memoised: counting and classifying keep a query's core
+with the rest of their memoised analysis of that query.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -121,12 +123,6 @@ def core_of_structure(a: RelationalStructure,
                    sorted(a.domain))
 
 
-# Query cores kept for reuse, least recently used evicted first. Counting
-# and classifying one query, or counting one query over many targets, finds
-# its core once.
-CORE_CACHE_SIZE = 256
-
-
 def core_of_query(q: ConjunctiveQuery,
                   cfg: HomSearchConfig = DEFAULT_CONFIG) -> ConjunctiveQuery:
     """The core of a query, free variables fixed by their search domains.
@@ -138,18 +134,11 @@ def core_of_query(q: ConjunctiveQuery,
     quantified variables, or one nothing can be dropped from, is returned
     as it is.
 
-    Results are memoised by (query value, ``cfg``) and shared between
-    callers; they are immutable. A search that raises (a budget overrun) is
-    not remembered, so the next call searches again. The arguments are
-    checked to be a query and a ``HomSearchConfig`` before the memo hashes
-    them.
+    Each call searches anew; counting and classifying keep the core in
+    their memoised analysis of the query.
     """
-    return _core_of_query(_require(q, ConjunctiveQuery), _require(cfg, HomSearchConfig))
-
-
-@lru_cache(maxsize=CORE_CACHE_SIZE)
-def _core_of_query(q: ConjunctiveQuery, cfg: HomSearchConfig) -> ConjunctiveQuery:
-    """``core_of_query`` for checked arguments, memoised."""
+    _require(q, ConjunctiveQuery)
+    _require(cfg, HomSearchConfig)
     quantified = q.quantified_vars
     if not quantified:
         return q

@@ -21,8 +21,9 @@ sorted atoms and domain of its induced subquery, the core atoms over free
 variables only, the contract graph (sharing the hypergraph's all-free
 edges), its decomposition and the elimination order along it, none of it
 validated again: the query was, at the API. The last 256 such analyses
-are memoised by (query value, search budgets), and each order is kept on
-its decomposition in ``decompose``'s memo; the core's own decomposition
+are memoised by (query value, search budgets), the only memo keyed by
+query, and each order is kept on its decomposition in ``decompose``'s
+memo, the only one keyed by graph; the core's own decomposition
 and its star sizes, which only the classifier reads, join an analysis on
 its first classification. Nothing that reads the database is cached: a
 count builds its tables straight from the target's tuple sets, and each
@@ -42,7 +43,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .cores import _core_of_query
+from .cores import core_of_query
 from .errors import InputError, ResourceBudgetError, _check_int, _require
 from .homomorphisms import (
     HomSearchConfig,
@@ -82,7 +83,8 @@ CASE_III = "III_sharp_clique_hard"
 COMPONENT_BASE = "__comp"
 
 # Query analyses kept for reuse, least recently used evicted first, as for
-# cores and decompositions.
+# decompositions. Counting and classifying one query, or counting one
+# query over many targets, finds its core once.
 ANALYSIS_CACHE_SIZE = 256
 
 
@@ -106,6 +108,7 @@ class CountingConfig:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_AUTO, MODE_BRUTE, MODE_STRUCTURAL):
             raise InputError(f"unknown counting mode {self.mode!r}")
+        _require(self.hom, HomSearchConfig)
 
     @property
     def brute_cap(self) -> int:
@@ -172,7 +175,9 @@ def component_projection(q: ConjunctiveQuery, dst: RelationalStructure,
     ``cfg.hom.enumeration_cap`` bounds the |target domain|^|scope|
     candidate tuples it may walk (ResourceBudgetError beyond it).
     """
-    check_vocabulary(q.structure, dst)
+    _require(comp, SComponent)
+    _require(cfg, CountingConfig)
+    check_vocabulary(_require(q, ConjunctiveQuery).structure, _require(dst, RelationalStructure))
     component = _bare_subquery(q.structure.atoms(), q.structure.domain, comp)
     scope, rows = _projection(component, dst, cfg.hom)
     return scope, frozenset(rows)
@@ -397,9 +402,10 @@ def count_quantifier_free_td(q: ConjunctiveQuery, dst: RelationalStructure,
     variable in no atom contributes a factor |target domain|; a 0-ary atom
     contributes 1 or 0.
     """
-    if set(q.free_vars) != set(q.structure.domain):
+    _require(cfg, CountingConfig)
+    if set(_require(q, ConjunctiveQuery).free_vars) != set(q.structure.domain):
         raise InputError("count_quantifier_free_td expects a quantifier-free query")
-    check_vocabulary(q.structure, dst)
+    check_vocabulary(q.structure, _require(dst, RelationalStructure))
     verify_decomposition(primal_graph(hypergraph_of(q)), td)
     return _sum_product(_relation_factors(q.structure.relations.items(), dst),
                         td.elimination_order, len(dst.domain))
@@ -423,7 +429,7 @@ class _Analysis:
     """
 
     def __init__(self, q: ConjunctiveQuery, hom: HomSearchConfig):
-        self.core = _core_of_query(q, hom)
+        self.core = core_of_query(q, hom)
         self.hypergraph, self.components, self.free_atoms = _split(self.core)
         self.contract_graph = contract(self.hypergraph)
         self.contract_td = decompose(primal_graph(self.contract_graph))

@@ -400,9 +400,9 @@ def hom_equivalent(a: RelationalStructure, b: RelationalStructure,
 def is_homomorphism(src: RelationalStructure, dst: RelationalStructure,
                     mapping: Mapping[str, str]) -> bool:
     """Tuple-by-tuple check, independent of the search machinery."""
-    if set(mapping) != set(src.domain):
+    if set(mapping) != set(_require(src, RelationalStructure).domain):
         return False
-    if not set(mapping.values()) <= set(dst.domain):
+    if not set(mapping.values()) <= set(_require(dst, RelationalStructure).domain):
         return False
     for name, ts in src.relations.items():
         target = dst.tuples(name)
@@ -481,7 +481,7 @@ def free_automorphism_set(q: ConjunctiveQuery,
     Automorphisms that move a free variable outside the free set are
     discarded: the restrictions kept here permute S and form a group.
     """
-    free = set(q.free_vars)
+    free = set(_require(q, ConjunctiveQuery).free_vars)
     seen = {}
     for h in automorphisms(q.structure, cfg):
         key = tuple(h[v] for v in q.free_vars)
@@ -498,7 +498,8 @@ def are_isomorphic(a: RelationalStructure, b: RelationalStructure,
     relation onto its counterpart, so its inverse is automatically a
     homomorphism too.
     """
-    if len(a.domain) != len(b.domain):
+    _require(a, RelationalStructure)
+    if len(a.domain) != len(_require(b, RelationalStructure).domain):
         return False
     if dict(a.vocabulary.symbols) != dict(b.vocabulary.symbols):
         return False

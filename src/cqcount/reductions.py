@@ -245,6 +245,8 @@ def lift_to_hypergraph(q: ConjunctiveQuery, b: RelationalStructure,
     budget is ``cfg.enumeration_cap``: a component join that builds more
     rows raises ResourceBudgetError.
     """
+    _require(b, RelationalStructure)
+    _require(cfg, HomSearchConfig)
     comps = s_components(target)
     ct, h = contract(target), hypergraph_of(q)
     if (set(h.vertices), h.edges, h.s_set) != (set(ct.vertices), ct.edges, ct.s_set):

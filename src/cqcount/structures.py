@@ -8,7 +8,7 @@ deterministic. Mappings (``Vocabulary.symbols``,
 structures and queries compare and hash by value: equal values built along
 different routes (another insertion order, ``structure_from_dict`` or the
 constructor) are interchangeable as dictionary keys, which is what lets
-``core_of_query`` memoise its results and share them between callers. A
+counting memoise its analysis of a query and share it between callers. A
 structure keeps its hash once computed; pickles carry only the fields,
 since string hashes differ between processes.
 
@@ -199,7 +199,7 @@ def induced_substructure(a: RelationalStructure, keep: Iterable) -> RelationalSt
     Domain order is preserved.
     """
     keep_set = set(keep)
-    unknown = sorted(keep_set - set(a.domain))
+    unknown = sorted(keep_set - set(_require(a, RelationalStructure).domain))
     if unknown:
         raise InputError(f"elements {reprlib.repr(unknown)} are not in the domain")
     dom = tuple(e for e in a.domain if e in keep_set)
@@ -228,7 +228,7 @@ def pin_relation_names(a: RelationalStructure) -> Dict[str, str]:
     Exposed so callers building companion structures over the extended
     vocabulary (for the interpolation reduction) use identical names.
     """
-    return _fresh_names(a.vocabulary, PIN_PREFIX_BASE, a.domain)
+    return _fresh_names(_require(a, RelationalStructure).vocabulary, PIN_PREFIX_BASE, a.domain)
 
 
 def _with_pins(a: RelationalStructure, elements: Tuple[str, ...]) -> RelationalStructure:
@@ -248,7 +248,7 @@ def augment(q: ConjunctiveQuery) -> RelationalStructure:
     any homomorphism out of the result must fix ``a``. With an empty free
     tuple this returns the structure unchanged.
     """
-    return _with_pins(q.structure, q.free_vars)
+    return _with_pins(_require(q, ConjunctiveQuery).structure, q.free_vars)
 
 
 def star_structure(a: RelationalStructure) -> RelationalStructure:
@@ -257,7 +257,7 @@ def star_structure(a: RelationalStructure) -> RelationalStructure:
     For a quantifier-free query this coincides with ``augment``, name for
     name.
     """
-    return _with_pins(a, a.domain)
+    return _with_pins(a, _require(a, RelationalStructure).domain)
 
 
 def structure_to_dict(a: RelationalStructure) -> dict:

@@ -9,14 +9,12 @@ from itertools import product
 import pytest
 
 from cqcount import RelationalStructure, Vocabulary, is_homomorphism
-from cqcount.cores import _core_of_query
 from cqcount.counting import _analyse
 from cqcount.treewidth import _decompose
 
 
 def clear_caches():
-    """Empty the core, decomposition and query-analysis caches."""
-    _core_of_query.cache_clear()
+    """Empty the decomposition and query-analysis caches."""
     _decompose.cache_clear()
     _analyse.cache_clear()
 

@@ -1,11 +1,12 @@
-"""The core, decomposition and query-analysis caches against uncached computation.
+"""The decomposition and query-analysis caches against uncached computation.
 
-``core_of_query`` and ``decompose`` memoise by value, and ``count_answers``
-and ``classify`` share one memoised analysis per query; these tests check
+``decompose`` memoises by value, and ``count_answers`` and ``classify``
+share one memoised analysis per query, core included; these tests check
 that a cold and a warm cache give the same cores, reports and counts as
-the undecorated functions and the brute-force counter, that equal values
-share one entry, that classifying a counted query reuses its analysis,
-and that failures and other budgets are never served from it.
+``core_of_query``, the undecorated ``decompose`` and the brute-force
+counter, that equal values share one entry, that classifying a counted
+query reuses its analysis, and that failures and other budgets are never
+served from it.
 """
 
 import random
@@ -40,10 +41,9 @@ from cqcount import (
     s_components,
     star_sizes,
 )
-from cqcount import counting
+from cqcount import cores, counting
 from cqcount.cli import main
-from cqcount.cores import CORE_CACHE_SIZE, _core_of_query
-from cqcount.counting import MODE_AUTO, MODE_STRUCTURAL, _analyse
+from cqcount.counting import ANALYSIS_CACHE_SIZE, MODE_AUTO, MODE_STRUCTURAL, _analyse
 from cqcount.generators import random_instance, redundant_variant
 from cqcount.hypergraphs import Graph, SHypergraph
 from cqcount.treewidth import DECOMPOSITION_CACHE_SIZE, EXACT, TreeDecomposition, _decompose
@@ -52,8 +52,8 @@ CONFIGS = [CountingConfig(mode=mode) for mode in (MODE_AUTO, MODE_STRUCTURAL)]
 
 
 def uncached_report(q, cfg, k_core=3, k_contract=3):
-    """classify's JSON, from the undecorated core and decomposition functions."""
-    core = _core_of_query.__wrapped__(q, cfg.hom)
+    """classify's JSON, from ``core_of_query`` and the undecorated decomposition."""
+    core = core_of_query(q, cfg.hom)
     h = hypergraph_of(core)
     cg = contract(h)
     core_td = _decompose.__wrapped__(primal_graph(h))
@@ -90,45 +90,51 @@ def test_cold_and_warm_caches_agree_with_uncached(cfg):
     cold = [analyse(q, b, cfg, cold=True) for q, b in instances]
     clear()
     warm = [analyse(q, b, cfg, cold=False) for q, b in instances]
-    assert _core_of_query.cache_info().hits and _decompose.cache_info().hits
-    assert _analyse.cache_info().hits
+    assert _decompose.cache_info().hits and _analyse.cache_info().hits
     for (q, b), got, again in zip(instances, cold, warm):
         assert got == again
         assert got[0] == count_answers_brute(q, b, cfg.hom)
-        assert got[1] == got[3] == _core_of_query.__wrapped__(q, cfg.hom)
+        assert got[1] == got[3] == core_of_query(q, cfg.hom)
         assert got[2] == uncached_report(q, cfg)
-        # warm, classify hands out the very core object count_answers cached
-        assert again[3] is again[1]
+        # warm, classify hands out the core count_answers cached
+        assert again[3] == again[1]
+        assert again[3] is _analyse(q, cfg.hom).core
 
 
 def test_classify_after_a_count_reuses_its_analysis(monkeypatch):
     # Only the core's own graph is decomposed anew, and only when the core
     # has quantified variables; otherwise it is the contract graph, whose
-    # decomposition the count already holds.
-    graphs = []
-    real_decompose = counting.decompose
+    # decomposition the count already holds. The core is never searched again.
+    graphs, shrunk = [], []
+    real_decompose, real_shrink = counting.decompose, cores._shrink
 
     def recording(g):
         graphs.append(g)
         return real_decompose(g)
 
+    def shrinking(a, *args):
+        shrunk.append(a)
+        return real_shrink(a, *args)
+
     monkeypatch.setattr(counting, "decompose", recording)
+    monkeypatch.setattr(cores, "_shrink", shrinking)
     rng = random.Random(86)
     kinds = set()
     for _ in range(40):
         q, b = random_instance(rng, max_vars=6, max_free=3, max_target=4)
         clear()
         count_answers(q, b)
-        cores = _core_of_query.cache_info()
+        assert shrunk == [q.structure] * bool(q.quantified_vars)
         computed = _decompose.cache_info().misses
         graphs.clear()
+        shrunk.clear()
         report = classify(q)
         quantified = bool(report.core_query.quantified_vars)
-        assert _core_of_query.cache_info() == cores
+        assert not shrunk
         assert graphs == [primal_graph(hypergraph_of(report.core_query))] * quantified
         assert _decompose.cache_info().misses == computed + quantified
         graphs.clear()
-        assert classify(q) == report and not graphs
+        assert classify(q) == report and not graphs and not shrunk
         kinds.add(quantified)
     assert kinds == {False, True}
 
@@ -208,7 +214,7 @@ def test_one_pass_analysis_matches_the_public_steps():
         if trial % 4 == 2:
             q = with_zero_ary_atom(q)
         analysis = _analyse(q, cfg.hom)
-        core = _core_of_query.__wrapped__(q, cfg.hom)
+        core = core_of_query(q, cfg.hom)
         assert analysis.core == core
         for query in (q, core):
             h, subqueries, free_atoms = counting._split(query)
@@ -256,13 +262,13 @@ def test_decompositions_match_uncached():
 def test_equal_queries_share_one_entry():
     text = "answer(x) :- E(x,y), E(y,z), E(x,w)."
     first = parse_query(text)
-    core = core_of_query(first)
-    info = _core_of_query.cache_info()
+    report = classify(first)
+    info = _analyse.cache_info()
     again = parse_query("answer(x) :-  E(x,w), E(x,y),E(y,z) .")
     assert again is not first and again == first
-    assert core_of_query(again) is core
-    assert _core_of_query.cache_info().hits == info.hits + 1
-    assert _core_of_query.cache_info().currsize == info.currsize
+    assert classify(again).core_query is report.core_query
+    assert _analyse.cache_info().hits == info.hits + 1
+    assert _analyse.cache_info().currsize == info.currsize
 
 
 def test_budget_errors_are_not_cached():
@@ -275,7 +281,6 @@ def test_budget_errors_are_not_cached():
                      lambda: classify(q, cfg=budgeted)):
             with pytest.raises(ResourceBudgetError):
                 call()
-    assert _core_of_query.cache_info().currsize == 0
     assert _analyse.cache_info().currsize == 0
     # a default-budget entry is never served to a budgeted call
     assert len(core_of_query(q).structure.domain) == 3
@@ -297,11 +302,11 @@ def test_budget_errors_are_not_cached_through_the_cli(capsys, monkeypatch, tmp_p
 
 
 def test_cache_sizes_stay_bounded():
-    for i in range(CORE_CACHE_SIZE + 20):
+    for i in range(ANALYSIS_CACHE_SIZE + 20):
         q = ConjunctiveQuery(digraph(["x", f"y{i}"], [("x", f"y{i}")]), ("x",))
-        core_of_query(q)
-        assert _core_of_query.cache_info().currsize <= CORE_CACHE_SIZE
-    assert _core_of_query.cache_info().currsize == CORE_CACHE_SIZE
+        classify(q)
+        assert _analyse.cache_info().currsize <= ANALYSIS_CACHE_SIZE
+    assert _analyse.cache_info().currsize == ANALYSIS_CACHE_SIZE
     for i in range(DECOMPOSITION_CACHE_SIZE + 20):
         decompose(Graph(("a", f"b{i}"), {frozenset(("a", f"b{i}"))}))
         assert _decompose.cache_info().currsize <= DECOMPOSITION_CACHE_SIZE

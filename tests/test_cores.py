@@ -33,7 +33,6 @@ from cqcount import (
 )
 from cqcount import cores
 from cqcount.cli import main
-from cqcount.cores import _core_of_query
 from cqcount.generators import (
     clique_graph,
     random_instance,
@@ -343,7 +342,7 @@ def test_query_cores_match_the_per_candidate_reference(seed, redundant):
     # is still the one a fresh search per candidate and round finds.
     q = drawn_query(seed, redundant)
     cfg = HomSearchConfig()
-    assert _core_of_query.__wrapped__(q, cfg) == reference_core_of_query(q, cfg)
+    assert core_of_query(q, cfg) == reference_core_of_query(q, cfg)
 
 
 def test_the_several_round_examples_need_several_rounds():
@@ -366,7 +365,7 @@ def test_a_variable_proved_undroppable_is_not_searched_again(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cores, "_HomSearch", Counted)
-    core = _core_of_query.__wrapped__(q, HomSearchConfig())
+    core = core_of_query(q, HomSearchConfig())
     assert core.structure.domain == ("x", "z")
     assert built == [q.structure.domain]
     assert reference_core_of_query(q, HomSearchConfig()) == core
@@ -415,14 +414,14 @@ def smallest_core_budget(q):
     low, high = 1, 1
     while True:
         try:
-            _core_of_query.__wrapped__(q, HomSearchConfig(node_budget=high))
+            core_of_query(q, HomSearchConfig(node_budget=high))
             break
         except ResourceBudgetError:
             low, high = high + 1, 2 * high
     while low < high:
         mid = (low + high) // 2
         try:
-            _core_of_query.__wrapped__(q, HomSearchConfig(node_budget=mid))
+            core_of_query(q, HomSearchConfig(node_budget=mid))
             high = mid
         except ResourceBudgetError:
             low = mid + 1
@@ -443,10 +442,10 @@ def test_core_budgets_match_the_pinned_reference():
             continue
         budget = smallest_core_budget(q)
         enough = HomSearchConfig(node_budget=budget)
-        assert reference_core_of_query(q, enough) == _core_of_query.__wrapped__(q, enough)
+        assert reference_core_of_query(q, enough) == core_of_query(q, enough)
         if budget > 1:
             short = HomSearchConfig(node_budget=budget - 1)
-            for core in (_core_of_query.__wrapped__, reference_core_of_query):
+            for core in (core_of_query, reference_core_of_query):
                 with pytest.raises(ResourceBudgetError):
                     core(q, short)
         budgets.add(budget)

@@ -6,27 +6,39 @@ from conftest import digraph, structure
 
 from cqcount import (
     ConjunctiveQuery,
+    CountingConfig,
     Graph,
     InputError,
     ResourceBudgetError,
     SHypergraph,
+    are_isomorphic,
+    augment,
     blowup,
     classify,
+    component_projection,
     contract,
     contract_instance,
     core_of_query,
     core_of_structure,
     count_answers,
+    count_quantifier_free_td,
+    decompose,
     enumerate_answers,
     exact_treewidth,
+    free_automorphism_set,
     hom_exists,
     hypergraph_of,
+    induced_substructure,
     is_core,
+    is_homomorphism,
+    lift_to_hypergraph,
     pair_structure,
+    pin_relation_names,
     primal_graph,
     render_query,
     s_components,
     star_sizes,
+    star_structure,
     structure_to_dict,
     verify_decomposition,
 )
@@ -55,6 +67,10 @@ def test_constructors_reject_malformed_input(build, message):
 
 _Q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x",))
 _G = Graph(("a",), frozenset())
+_H = hypergraph_of(_Q)
+_COMP = s_components(_H)[0]
+_QF = ConjunctiveQuery(_Q.structure, ("x", "y"))
+_TD = decompose(primal_graph(hypergraph_of(_QF)))
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -80,11 +96,37 @@ _G = Graph(("a",), frozenset())
     (lambda: hom_exists(1, 2), "RelationalStructure"),
     (lambda: contract_instance(_Q, 1), "RelationalStructure"),
     (lambda: structure_to_dict(1), "RelationalStructure"),
+    (lambda: CountingConfig(hom=None), "HomSearchConfig"),
+    (lambda: component_projection(None, _Q.structure, _COMP), "ConjunctiveQuery"),
+    (lambda: component_projection(_Q, 42, _COMP), "RelationalStructure"),
+    (lambda: component_projection(_Q, _Q.structure, None), "SComponent"),
+    (lambda: component_projection(_Q, _Q.structure, _COMP, cfg=42), "CountingConfig"),
+    (lambda: count_quantifier_free_td(None, _Q.structure, _TD), "ConjunctiveQuery"),
+    (lambda: count_quantifier_free_td(_QF, 42, _TD), "RelationalStructure"),
+    (lambda: count_quantifier_free_td(_QF, _Q.structure, _TD, cfg=None), "CountingConfig"),
+    (lambda: lift_to_hypergraph(_Q, None, _H), "RelationalStructure"),
+    (lambda: lift_to_hypergraph(_Q, _Q.structure, _H, cfg=42), "HomSearchConfig"),
+    (lambda: is_homomorphism(None, _Q.structure, {}), "RelationalStructure"),
+    (lambda: is_homomorphism(_Q.structure, 42, {"x": "x", "y": "y"}), "RelationalStructure"),
+    (lambda: are_isomorphic(None, _Q.structure), "RelationalStructure"),
+    (lambda: are_isomorphic(_Q.structure, 42), "RelationalStructure"),
+    (lambda: free_automorphism_set(None), "ConjunctiveQuery"),
+    (lambda: induced_substructure(42, ()), "RelationalStructure"),
+    (lambda: augment(None), "ConjunctiveQuery"),
+    (lambda: star_structure(42), "RelationalStructure"),
+    (lambda: pin_relation_names(None), "RelationalStructure"),
 ], ids=["s_components", "contract", "star_sizes", "primal_graph", "hypergraph_of",
         "count-q", "count-target", "count-cfg", "classify-q", "classify-cfg",
         "verify-td", "core_of_structure", "is_core", "core_of_query", "core_of_query-cfg",
         "pair_structure", "blowup", "render_query", "enumerate_answers", "hom_exists",
-        "contract_instance", "structure_to_dict"])
+        "contract_instance", "structure_to_dict", "counting-config-hom",
+        "component_projection-q", "component_projection-dst",
+        "component_projection-comp", "component_projection-cfg",
+        "count_quantifier_free_td-q", "count_quantifier_free_td-dst",
+        "count_quantifier_free_td-cfg", "lift_to_hypergraph-b",
+        "lift_to_hypergraph-cfg", "is_homomorphism-src", "is_homomorphism-dst",
+        "are_isomorphic-a", "are_isomorphic-b", "free_automorphism_set",
+        "induced_substructure", "augment", "star_structure", "pin_relation_names"])
 def test_wrong_typed_arguments_are_input_errors(call, expected):
     with pytest.raises(InputError, match=f"expected a {expected}, got ") as info:
         call()

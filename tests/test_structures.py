@@ -11,11 +11,12 @@ from conftest import digraph, structure
 
 from cqcount import (
     ConjunctiveQuery,
+    HomSearchConfig,
     InputError,
     RelationalStructure,
     Vocabulary,
     augment,
-    core_of_query,
+    classify,
     induced_substructure,
     parse_query,
     pin_relation_names,
@@ -23,7 +24,7 @@ from cqcount import (
     structure_from_dict,
     structure_to_dict,
 )
-from cqcount.cores import _core_of_query
+from cqcount.counting import _analyse
 from cqcount.generators import random_instance
 from cqcount.structures import _unchecked
 
@@ -237,7 +238,7 @@ def test_pickles_rebuild_values_that_hash_like_local_ones():
         "sys.stdout.buffer.write(pickle.dumps(q))\n"
     )
     local = parse_query(text)
-    core = core_of_query(local)
+    analysis = _analyse(local, HomSearchConfig())
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -248,6 +249,6 @@ def test_pickles_rebuild_values_that_hash_like_local_ones():
         assert loaded is not local and loaded == local and hash(loaded) == hash(local)
         assert hash(loaded.structure.vocabulary) == hash(local.structure.vocabulary)
         assert isinstance(loaded.structure.relations, MappingProxyType)
-        hits = _core_of_query.cache_info().hits
-        assert core_of_query(loaded) is core
-        assert _core_of_query.cache_info().hits == hits + 1
+        hits = _analyse.cache_info().hits
+        assert classify(loaded).core_query is analysis.core
+        assert _analyse.cache_info().hits == hits + 1
