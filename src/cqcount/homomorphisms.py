@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import reprlib
 import sys
+from collections import abc
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -400,7 +401,7 @@ def hom_equivalent(a: RelationalStructure, b: RelationalStructure,
 def is_homomorphism(src: RelationalStructure, dst: RelationalStructure,
                     mapping: Mapping[str, str]) -> bool:
     """Tuple-by-tuple check, independent of the search machinery."""
-    if set(mapping) != set(_require(src, RelationalStructure).domain):
+    if set(_require(mapping, abc.Mapping)) != set(_require(src, RelationalStructure).domain):
         return False
     if not set(mapping.values()) <= set(_require(dst, RelationalStructure).domain):
         return False

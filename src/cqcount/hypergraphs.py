@@ -16,13 +16,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Tuple
 
 from .errors import InputError, ResourceBudgetError, _require
 from .structures import ConjunctiveQuery, _unchecked
 
 # Most free vertices per S-component: bounds the independent-set recursion.
 STAR_SIZE_CAP = 20
+
+
+def _edge_set(edges: Iterable, known: AbstractSet) -> frozenset:
+    """``edges`` as a frozenset of frozensets; InputError for an edge outside ``known``."""
+    result = []
+    for e in edges:
+        e = frozenset(e)
+        if not e <= known:
+            raise InputError(f"edge {sorted(e)!r} uses unknown vertices")
+        result.append(e)
+    return frozenset(result)
 
 
 @dataclass(frozen=True)
@@ -34,25 +45,15 @@ class SHypergraph:
     s_set: frozenset
 
     def __post_init__(self) -> None:
-        seen = set()
-        verts = []
-        for v in self.vertices:
-            if v not in seen:
-                seen.add(v)
-                verts.append(v)
-        edges = set()
-        for e in self.edges:
-            e = frozenset(e)
-            if not e:
-                raise InputError("hypergraph edges must be non-empty")
-            if not e <= seen:
-                raise InputError(f"edge {sorted(e)!r} uses unknown vertices")
-            edges.add(e)
+        known = dict.fromkeys(self.vertices).keys()
+        edges = _edge_set(self.edges, known)
+        if frozenset() in edges:
+            raise InputError("hypergraph edges must be non-empty")
         s_set = frozenset(self.s_set)
-        if not s_set <= seen:
+        if not s_set <= known:
             raise InputError("the S set must be a subset of the vertices")
-        object.__setattr__(self, "vertices", tuple(verts))
-        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "vertices", tuple(known))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "s_set", s_set)
 
     @cached_property
@@ -126,18 +127,13 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted(set(self.vertices)))
-        vset = set(verts)
-        edges = set()
-        for e in self.edges:
-            e = frozenset(e)
+        known = set(self.vertices)
+        edges = _edge_set(self.edges, known)
+        for e in edges:
             if len(e) != 2:
                 raise InputError(f"graph edges must join two distinct vertices: {sorted(e)!r}")
-            if not e <= vset:
-                raise InputError(f"edge {sorted(e)!r} uses unknown vertices")
-            edges.add(e)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "vertices", tuple(sorted(known)))
+        object.__setattr__(self, "edges", edges)
 
     def adjacency(self) -> Dict[str, set]:
         adj = {v: set() for v in self.vertices}
@@ -199,11 +195,9 @@ def star_sizes(h: SHypergraph) -> Tuple[int, int]:
             )
         adj = {v: set() for v in free_here}
         for e in comp.touched_edges:
-            inside = [v for v in sorted(e) if v in adj]
-            for i, u in enumerate(inside):
-                for w in inside[i + 1:]:
-                    adj[u].add(w)
-                    adj[w].add(u)
+            for u, w in combinations(e.intersection(free_here), 2):
+                adj[u].add(w)
+                adj[w].add(u)
         star = max(star, _max_independent_set(frozenset(free_here), adj))
     return star, strict
 

@@ -17,11 +17,13 @@ with "__" are reserved for the library and rejected on load.
 from __future__ import annotations
 
 import json
+import os
 import re
 import reprlib
 import warnings
+from functools import partial
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 from .errors import InputError, _require
 from .structures import (
@@ -106,6 +108,14 @@ class _Tokens:
         self.index += 1
         return tok
 
+    def comma_list(self, item: Callable[[], object]) -> list:
+        """One or more ``item()`` results separated by commas."""
+        items = [item()]
+        while self.peek() == ",":
+            self.take(",")
+            items.append(item())
+        return items
+
     def done(self) -> bool:
         return self.index >= len(self.items)
 
@@ -118,35 +128,26 @@ def parse_query(text: str) -> ConjunctiveQuery:
     the value exactly. A head variable absent from the body is accepted but
     flagged with a QueryWarning.
     """
-    toks = _Tokens(text)
+    toks = _Tokens(_require(text, str))
     head = toks.take_name(f"{HEAD_NAME!r}")
     if head != HEAD_NAME:
         raise InputError(f"queries must start with {HEAD_NAME!r}, found {reprlib.repr(head)}")
     toks.take("(")
-    head_vars: List[str] = []
-    if toks.peek() != ")":
-        head_vars.append(toks.take_name("a variable"))
-        while toks.peek() == ",":
-            toks.take(",")
-            head_vars.append(toks.take_name("a variable"))
+    variable = partial(toks.take_name, "a variable")
+    head_vars = toks.comma_list(variable) if toks.peek() != ")" else []
     toks.take(")")
     toks.take(":-")
-    atoms: List[Tuple[str, Tuple[str, ...]]] = []
-    while True:
+
+    def atom() -> Tuple[str, Tuple[str, ...]]:
         name = toks.take_name("a relation name")
         if name == HEAD_NAME:
             raise InputError(f"{HEAD_NAME!r} cannot be used as a body relation")
         toks.take("(")
-        args = [toks.take_name("a variable")]
-        while toks.peek() == ",":
-            toks.take(",")
-            args.append(toks.take_name("a variable"))
+        args = tuple(toks.comma_list(variable))
         toks.take(")")
-        atoms.append((name, tuple(args)))
-        if toks.peek() == ",":
-            toks.take(",")
-            continue
-        break
+        return name, args
+
+    atoms = toks.comma_list(atom)
     toks.take(".")
     if not toks.done():
         toks._fail("end of input")
@@ -223,6 +224,8 @@ def load_database(path: Union[str, Path]) -> RelationalStructure:
     1..8 as in queries (structures themselves accept any arity), and
     elements must be strings. Duplicate tuples are collapsed with a warning.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputError(f"expected a str or os.PathLike path, got {type(path).__name__}")
     raw = _read_text(path)
     shown = _shown_path(path)
     try:

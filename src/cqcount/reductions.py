@@ -37,8 +37,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .cores import core_of_query
-from .counting import _join, _key_getter, _relation_factors
+from .counting import _analyse, _join, _key_getter, _relation_factors
 from .errors import InputError, InternalError, ResourceBudgetError, _check_int, _require
 from .homomorphisms import (
     DEFAULT_CONFIG,
@@ -181,9 +180,11 @@ def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
     ``q`` must be its own core with its free variables fixed (checked); ``b``
     must interpret the base vocabulary and every pin relation. The oracle is
     any procedure returning exact |hom(A, ., S)| counts. One copy of T is D
-    renamed, so D is counted once, as every system's j = 1 point.
+    renamed, so D is counted once, as every system's j = 1 point. The core
+    check reads ``count_answers``'s memoised analysis of ``q`` under ``cfg``.
     """
-    if core_of_query(q, cfg) != q:
+    _require(q, ConjunctiveQuery)
+    if _analyse(q, _require(cfg, HomSearchConfig)).core != q:
         raise InputError("the pinned (augmented) query structure must be a core")
     dstruct = pair_structure(q.structure, b)
     auto = free_automorphism_set(q, cfg)

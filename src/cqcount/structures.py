@@ -22,6 +22,7 @@ tuples) through ``reprlib.repr``, so a huge value is shortened.
 from __future__ import annotations
 
 import reprlib
+from collections import abc
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -198,7 +199,7 @@ def induced_substructure(a: RelationalStructure, keep: Iterable) -> RelationalSt
     Each relation retains exactly the tuples all of whose entries survive.
     Domain order is preserved.
     """
-    keep_set = set(keep)
+    keep_set = set(_require(keep, abc.Iterable))
     unknown = sorted(keep_set - set(_require(a, RelationalStructure).domain))
     if unknown:
         raise InputError(f"elements {reprlib.repr(unknown)} are not in the domain")

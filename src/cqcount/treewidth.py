@@ -57,24 +57,29 @@ class TreeDecomposition:
         bag. Computed on first use and kept with the decomposition, so a
         decomposition from ``decompose``'s memo brings its order along.
         """
-        adj: Dict[int, List[int]] = {i: [] for i in range(len(self.bags))}
-        for i, j in self.tree_edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        top_down = [0]
-        seen = {0}
-        for i in top_down:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    top_down.append(j)
         placed = set()
         levels = []
-        for i in top_down:
+        for i in _walk(len(self.bags), self.tree_edges):
             fresh = sorted(self.bags[i] - placed)
             placed.update(fresh)
             levels.append(fresh)
         return tuple(v for level in reversed(levels) for v in level)
+
+
+def _walk(k: int, tree_edges: frozenset) -> List[int]:
+    """The bags among 0..k-1 reachable from bag 0, in breadth-first order."""
+    adj: Dict[int, List[int]] = {i: [] for i in range(k)}
+    for i, j in tree_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    order = [0]
+    seen = {0}
+    for i in order:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return order
 
 
 def _exact_elimination(g: Graph) -> Tuple[List[str], int]:
@@ -153,6 +158,15 @@ def _fill_in(adjacency: Dict[str, set], v: str) -> int:
     return sum(1 for u in nb for w in nb if u < w and w not in adjacency[u])
 
 
+def _eliminate(adjacency: Dict[str, set], v: str) -> set:
+    """Remove v and clique its neighbourhood, which is returned."""
+    nb = adjacency.pop(v)
+    for u in nb:
+        adjacency[u].discard(v)
+        adjacency[u].update(nb - {u})
+    return nb
+
+
 def _min_fill_elimination(g: Graph) -> List[str]:
     """Minimum-fill-in elimination order (tie break: vertex name).
 
@@ -171,13 +185,8 @@ def _min_fill_elimination(g: Graph) -> List[str]:
             continue
         order.append(v)
         del fills[v]
-        nb = adjacency.pop(v)
-        touched = set(nb)
-        for u in nb:
-            adjacency[u].discard(v)
-            adjacency[u].update(nb - {u})
-            touched |= adjacency[u]
-        for u in touched:
+        nb = _eliminate(adjacency, v)
+        for u in nb.union(*(adjacency[w] for w in nb)):
             f = _fill_in(adjacency, u)
             if f != fills[u]:
                 fills[u] = f
@@ -229,11 +238,7 @@ def decomposition_from_order(g: Graph, order: List[str], exactness: str) -> Tree
     adjacency = g.adjacency()
     bags = []
     for v in order:
-        nb = adjacency.pop(v)
-        bags.append(frozenset(nb | {v}))
-        for u in nb:
-            adjacency[u].discard(v)
-            adjacency[u].update(nb - {u})
+        bags.append(frozenset(_eliminate(adjacency, v) | {v}))
     edges = set()
     for i, v in enumerate(order):
         rest = bags[i] - {v}
@@ -290,23 +295,13 @@ def verify_decomposition(obj: Graph, td: TreeDecomposition) -> int:
     if not bags:
         raise DecompositionError("decomposition has no bags")
     k = len(bags)
-    adj: Dict[int, set] = {i: set() for i in range(k)}
     for edge in td.tree_edges:
         i, j = edge
         if not (0 <= i < j < k):
             raise DecompositionError(f"bad tree edge {edge!r}")
-        adj[i].add(j)
-        adj[j].add(i)
     if len(td.tree_edges) != k - 1:
         raise DecompositionError("tree edge count is wrong for a tree")
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != k:
+    if len(_walk(k, td.tree_edges)) != k:
         raise DecompositionError("tree is not connected")
     vset = set(g.vertices)
     bagged = set().union(*bags)

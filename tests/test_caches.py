@@ -11,6 +11,7 @@ served from it.
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import clear_caches as clear
@@ -299,6 +300,28 @@ def test_budget_errors_are_not_cached_through_the_cli(capsys, monkeypatch, tmp_p
     for _ in range(2):
         assert main(["core", "--query", str(query)]) == 2
         assert "budget" in capsys.readouterr().err
+
+
+def test_reduce_demo_searches_for_a_core_twice(capsys, monkeypatch, tmp_path):
+    # Once for the command's core of the query and once for the analysis
+    # that checks the core; the oracle's counts read that same analysis.
+    text = "answer(x) :- E(x,y), E(y,z), E(x,w)."
+    q = parse_query(text)
+    core = core_of_query(q)
+    shrunk = []
+    real_shrink = cores._shrink
+
+    def shrinking(a, *args):
+        shrunk.append(a)
+        return real_shrink(a, *args)
+
+    monkeypatch.setattr(cores, "_shrink", shrinking)
+    query = tmp_path / "q.query"
+    query.write_text(text)
+    db = Path(__file__).parent / "data" / "triangle.json"
+    assert main(["reduce-demo", "--db", str(db), "--query", str(query)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "AGREE"
+    assert shrunk == [q.structure, core.structure]
 
 
 def test_cache_sizes_stay_bounded():

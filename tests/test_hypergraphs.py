@@ -32,7 +32,9 @@ from cqcount import (
     is_core,
     is_homomorphism,
     lift_to_hypergraph,
+    load_database,
     pair_structure,
+    parse_query,
     pin_relation_names,
     primal_graph,
     render_query,
@@ -52,17 +54,23 @@ def shg(vertices, edges, s):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: shg("ab", [[]], "a"), "non-empty"),
-    (lambda: shg("ab", [["a", "z"]], "a"), "unknown vertices"),
-    (lambda: shg("ab", [["a", "b"]], "az"), "subset of the vertices"),
-    (lambda: Graph(("a", "b"), frozenset({frozenset("az")})), "unknown vertices"),
-    (lambda: Graph(("a", "b"), frozenset({frozenset("a")})), "two distinct vertices"),
-    (lambda: Graph(tuple("abc"), frozenset({frozenset("abc")})), "two distinct vertices"),
+    (lambda: shg("ab", [[]], "a"), "hypergraph edges must be non-empty"),
+    (lambda: shg("ab", [["a", "z"]], "a"), "edge ['a', 'z'] uses unknown vertices"),
+    (lambda: shg("ab", [["a", "b"]], "az"), "the S set must be a subset of the vertices"),
+    (lambda: Graph(("a", "b"), frozenset({frozenset("az")})),
+     "edge ['a', 'z'] uses unknown vertices"),
+    (lambda: Graph(("a", "b"), frozenset({frozenset("a")})),
+     "graph edges must join two distinct vertices: ['a']"),
+    (lambda: Graph(tuple("abc"), frozenset({frozenset("abc")})),
+     "graph edges must join two distinct vertices: ['a', 'b', 'c']"),
 ], ids=["empty-edge", "unknown-vertex", "s-outside", "graph-unknown-vertex",
         "graph-loop", "graph-triple"])
 def test_constructors_reject_malformed_input(build, message):
-    with pytest.raises(InputError, match=message):
+    # Whole messages: both constructors share the unknown-vertex message,
+    # and each keeps its own for an edge of the wrong size.
+    with pytest.raises(InputError) as info:
         build()
+    assert str(info.value) == message
 
 
 _Q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x",))
@@ -115,6 +123,9 @@ _TD = decompose(primal_graph(hypergraph_of(_QF)))
     (lambda: augment(None), "ConjunctiveQuery"),
     (lambda: star_structure(42), "RelationalStructure"),
     (lambda: pin_relation_names(None), "RelationalStructure"),
+    (lambda: is_homomorphism(_Q.structure, _Q.structure, 42), "Mapping"),
+    (lambda: induced_substructure(_Q.structure, 42), "Iterable"),
+    (lambda: parse_query(42), "str"),
 ], ids=["s_components", "contract", "star_sizes", "primal_graph", "hypergraph_of",
         "count-q", "count-target", "count-cfg", "classify-q", "classify-cfg",
         "verify-td", "core_of_structure", "is_core", "core_of_query", "core_of_query-cfg",
@@ -126,10 +137,19 @@ _TD = decompose(primal_graph(hypergraph_of(_QF)))
         "count_quantifier_free_td-cfg", "lift_to_hypergraph-b",
         "lift_to_hypergraph-cfg", "is_homomorphism-src", "is_homomorphism-dst",
         "are_isomorphic-a", "are_isomorphic-b", "free_automorphism_set",
-        "induced_substructure", "augment", "star_structure", "pin_relation_names"])
+        "induced_substructure", "augment", "star_structure", "pin_relation_names",
+        "is_homomorphism-mapping", "induced_substructure-keep", "parse_query"])
 def test_wrong_typed_arguments_are_input_errors(call, expected):
     with pytest.raises(InputError, match=f"expected a {expected}, got ") as info:
         call()
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("path", [42, None, b"db.json"])
+def test_load_database_rejects_a_path_of_another_type(path):
+    # a path may be a str or an os.PathLike, so the message names both
+    with pytest.raises(InputError, match="expected a str or os.PathLike path, got ") as info:
+        load_database(path)
     assert len(str(info.value)) < 200
 
 

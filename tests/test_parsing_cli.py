@@ -67,6 +67,21 @@ def test_parse_syntax_errors_carry_position():
         parse_query("answer(x) :- E(x,y). extra")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("answer(x,) :- E(x).", "column 10: expected a variable, found ')'"),
+    ("answer(,x) :- E(x).", "column 8: expected a variable, found ','"),
+    ("answer(x) :- E(x,).", "column 18: expected a variable, found ')'"),
+    ("answer(x) :- E().", "column 16: expected a variable, found ')'"),
+    ("answer(x) :- E(x), .", "column 20: expected a relation name, found '.'"),
+    ("answer(x) :- E(x,y) F(y).", "column 21: expected '.', found 'F'"),
+], ids=["head", "head-first", "arguments", "no-arguments", "body", "body-no-comma"])
+def test_comma_list_errors_name_the_missing_item(text, message):
+    # Head variables, atom arguments and body atoms are each a comma list.
+    with pytest.raises(InputError) as info:
+        parse_query(text)
+    assert str(info.value) == f"syntax error at line 1, {message}"
+
+
 def test_parse_semantic_errors():
     with pytest.raises(InputError, match="arities"):
         parse_query("answer(x) :- E(x,y), E(x).")

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -200,6 +201,64 @@ def test_decomposition_from_order_disconnected():
     for order in (["a", "b", "c"], ["a", "b", "c", "d", "a"]):
         with pytest.raises(InputError, match="every vertex exactly once"):
             decomposition_from_order(g, order, EXACT)
+
+
+def reference_decomposition(g, order):
+    """Bags, tree edges and width of eliminating ``order``, over plain dicts of sets.
+
+    Each bag is the vertex with its neighbours at elimination time, which
+    then become a clique; it links to the bag of its earliest-eliminated
+    neighbour, or to the next bag when it has none.
+    """
+    if not order:
+        return (frozenset(),), frozenset(), -1
+    nbrs = {v: set() for v in g.vertices}
+    for u, w in g.edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    bags = []
+    for v in order:
+        around = nbrs.pop(v)
+        bags.append(frozenset(around | {v}))
+        for u in around:
+            nbrs[u] = (nbrs[u] | around) - {u, v}
+    edges = set()
+    for i, bag in enumerate(bags):
+        later = [j for j in range(i + 1, len(bags)) if order[j] in bag]
+        if later:
+            edges.add((i, later[0]))
+        elif i + 1 < len(bags):
+            edges.add((i, i + 1))
+    return tuple(bags), frozenset(edges), max(map(len, bags)) - 1
+
+
+def reference_elimination_order(td):
+    """Breadth-first from bag 0, a queue scanning the tree edges in their
+    iteration order; each bag's unplaced variables sorted; then reversed."""
+    queue, seen, placed, levels = deque([0]), {0}, set(), []
+    while queue:
+        i = queue.popleft()
+        levels.append(sorted(td.bags[i] - placed))
+        placed |= td.bags[i]
+        for a, b in td.tree_edges:
+            j = b if a == i else a if b == i else None
+            if j is not None and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return tuple(v for level in reversed(levels) for v in level)
+
+
+def test_decomposition_from_order_and_elimination_order_match_references():
+    rng = random.Random(25)
+    for _ in range(150):
+        g = random_graph(rng, max_n=11, p=rng.choice([0.15, 0.35, 0.6]))
+        order = list(g.vertices)
+        rng.shuffle(order)
+        td = decomposition_from_order(g, order, UPPER_BOUND)
+        assert (td.bags, td.tree_edges, td.width) == reference_decomposition(g, order)
+        assert td.elimination_order == reference_elimination_order(td)
+        built = decompose(g)
+        assert built.elimination_order == reference_elimination_order(built)
 
 
 def test_minor_min_width_is_a_lower_bound():
