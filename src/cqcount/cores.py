@@ -29,6 +29,16 @@ would be a second element of I in it. A skipped candidate is one the
 search would refuse, so the first retraction found, and the core, do not
 change.
 
+If every candidate still offered occurs in no tuple, and some element is
+not offered, no search is built: the core is the substructure R on the
+elements not offered. Proof: the candidates and the fixed elements make
+up the domain, so an element of R is fixed by its search domain or lies
+in the only tuple of a relation, and every endomorphism the search admits
+fixes it. Every tuple lies in R, and a candidate in no tuple may map to
+any element of R, so R is a retract of A. Every retraction fixes R, so
+every retract contains R: R is the only minimal one, which is the core
+the rounds would reach, with the same domain order.
+
 The core of a query fixes every free variable by its search domain: a free
 variable starts with itself as its only value, so every endomorphism the
 search finds fixes it, and it survives into the core with the free tuple
@@ -79,10 +89,11 @@ def _shrink(a: RelationalStructure, cfg: HomSearchConfig, candidates: Sequence[s
             fixed: Sequence[str] = ()) -> RelationalStructure:
     """Retract onto images until no candidate can be dropped.
 
-    Each element of ``fixed`` starts with itself as its only value, so
-    every retraction fixes it. A candidate proved undroppable in one round
-    is not tried again (see the module docstring). Returns ``a`` itself if
-    nothing is dropped.
+    ``candidates`` and ``fixed`` make up the domain. Each element of
+    ``fixed`` starts with itself as its only value, so every retraction
+    fixes it. A candidate proved undroppable in one round is not tried
+    again, and candidates in no tuple are dropped without a search (see the
+    module docstring). Returns ``a`` itself if nothing is dropped.
     """
     relations = a.relations
     # Every endomorphism maps the only tuple of a relation to itself.
@@ -90,6 +101,13 @@ def _shrink(a: RelationalStructure, cfg: HomSearchConfig, candidates: Sequence[s
     open_ = [v for v in candidates if v not in alone]
     if not open_:
         return a
+    # Offered candidates all in no tuple fold onto the rest, a core.
+    dropped = set(open_)
+    if all(dropped.isdisjoint(t) for ts in relations.values() for t in ts):
+        rest = tuple([v for v in a.domain if v not in dropped])
+        if rest:
+            return _unchecked(RelationalStructure, vocabulary=a.vocabulary, domain=rest,
+                              relations=relations)
     atoms, domain, start = a.atoms(), a.domain, {v: [v] for v in fixed}
     while open_:
         search = _HomSearch(atoms, domain, relations, domain, start, cfg)

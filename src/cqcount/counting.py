@@ -12,7 +12,10 @@ and sums it out, in the filter-first order that ``_join_sum_out`` and
 ``_absorb`` describe. Atoms of one relation with distinct variables share
 one table; no table is modified once built. An instance whose contract is
 wider than ``CountingConfig.width_cap`` is counted by brute force in auto
-mode, and refused in structural mode.
+mode, and refused in structural mode. A Boolean component, one that
+touches no free variable, contributes 1 or 0; when its atoms' incidence
+graph over their distinct variables is a forest, generalized arc
+consistency alone decides which (Freuder, JACM 1982), and no search runs.
 
 What counting and classifying read of the query alone is worked out once
 per query and kept: the core, its S-hypergraph (which finds its
@@ -51,6 +54,7 @@ from .homomorphisms import (
     _answers,
     _atom_factor,
     _check_candidates,
+    _exists,
     check_vocabulary,
     count_answers_brute,
 )
@@ -153,11 +157,14 @@ def _projection(component: Tuple[tuple, list, tuple], dst: RelationalStructure,
     """A component's factor: its scope and the answers of its subquery in ``dst``.
 
     The vocabulary is taken as checked; the candidate count is checked
-    before the search is built.
+    before the search is built. A Boolean component, one with an empty
+    scope, has the one answer () iff its subquery maps into ``dst``.
     """
     scope, atoms, domain = component
     _check_candidates(len(dst.domain), len(scope), hom)
     search = _HomSearch(atoms, domain, dst.relations, dst.domain, cfg=hom)
+    if not scope:
+        return scope, {(): 1} if _exists(search, atoms) else {}
     return scope, dict.fromkeys(_answers(search, scope), 1)
 
 

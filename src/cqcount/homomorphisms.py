@@ -21,6 +21,12 @@ Brute-force answer counting plans once and pins each tuple of the free
 variables' arc-consistent domains in turn. Counts use Python integers and
 are never approximated; running out of budget raises, it does not round.
 
+Existence needs no search when the source's atoms are Berge-acyclic, that
+is, when the graph joining each atom to its distinct variables is a
+forest: on such an instance generalized arc consistency alone decides
+whether a solution exists (Freuder, JACM 1982), so ``hom_exists`` and a
+count's Boolean components answer from ``feasible``.
+
 A search is built from bare atom lists and tuple sets; ``_search`` builds
 one for two structures after checking their types and vocabularies.
 """
@@ -388,9 +394,49 @@ def find_extension(src: RelationalStructure, dst: RelationalStructure,
     return next(_search(src, dst, cfg).solutions(partial), None)
 
 
+def _is_forest(atoms: Iterable[Tuple[str, tuple]]) -> bool:
+    """True iff the incidence graph of ``atoms`` and their distinct variables is a forest.
+
+    Such atoms are Berge-acyclic: no two share more than one variable, and
+    no chain of atoms sharing variables closes into a cycle. One union-find
+    pass adds the atoms in turn; an atom closes a cycle iff two of its
+    distinct variables are already connected.
+    """
+    parent: dict = {}
+
+    def find(v):
+        root = v
+        while root in parent:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    for _, t in atoms:
+        roots = [find(v) for v in dict.fromkeys(t)]
+        if len(set(roots)) != len(roots):
+            return False
+        for r in roots[1:]:
+            parent[r] = roots[0]
+    return True
+
+
+def _exists(search: _HomSearch, atoms: Sequence[Tuple[str, tuple]]) -> bool:
+    """Whether ``search``, built from ``atoms``, has a solution.
+
+    Arc consistency alone decides Berge-acyclic atoms (``_is_forest``), so
+    those build no plan and try no value; the others look for a first
+    solution.
+    """
+    if not search.feasible:
+        return False
+    return _is_forest(atoms) or next(search._run(search._plan(()), ()), None) is not None
+
+
 def hom_exists(src: RelationalStructure, dst: RelationalStructure,
                cfg: HomSearchConfig = DEFAULT_CONFIG) -> bool:
-    return find_extension(src, dst, cfg=cfg) is not None
+    """Whether some homomorphism src -> dst exists; a Berge-acyclic ``src`` needs no search."""
+    return _exists(_search(src, dst, cfg), src.atoms())
 
 
 def hom_equivalent(a: RelationalStructure, b: RelationalStructure,

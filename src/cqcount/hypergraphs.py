@@ -13,6 +13,7 @@ An S-hypergraph finds its S-components once, on first use, and keeps them:
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -28,7 +29,7 @@ STAR_SIZE_CAP = 20
 def _edge_set(edges: Iterable, known: AbstractSet) -> frozenset:
     """``edges`` as a frozenset of frozensets; InputError for an edge outside ``known``."""
     result = []
-    for e in edges:
+    for e in _require(edges, abc.Iterable):
         e = frozenset(e)
         if not e <= known:
             raise InputError(f"edge {sorted(e)!r} uses unknown vertices")
@@ -45,11 +46,11 @@ class SHypergraph:
     s_set: frozenset
 
     def __post_init__(self) -> None:
-        known = dict.fromkeys(self.vertices).keys()
+        known = dict.fromkeys(_require(self.vertices, abc.Iterable)).keys()
         edges = _edge_set(self.edges, known)
         if frozenset() in edges:
             raise InputError("hypergraph edges must be non-empty")
-        s_set = frozenset(self.s_set)
+        s_set = frozenset(_require(self.s_set, abc.Iterable))
         if not s_set <= known:
             raise InputError("the S set must be a subset of the vertices")
         object.__setattr__(self, "vertices", tuple(known))
@@ -127,7 +128,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self) -> None:
-        known = set(self.vertices)
+        known = set(_require(self.vertices, abc.Iterable))
         edges = _edge_set(self.edges, known)
         for e in edges:
             if len(e) != 2:

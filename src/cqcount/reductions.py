@@ -32,6 +32,7 @@ the bases ``__edge`` and ``__free``, bumped if the query uses such names.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -120,9 +121,9 @@ def blowup(dstruct: PairDomainStructure, t_subset: Sequence[str],
     With an empty T (or one copy over an empty T) the structure is returned
     unchanged; one copy of a non-empty T yields an isomorphic renaming.
     """
-    _check_int("copies", copies, 1)
-    t_set = set(t_subset)
     base = _require(dstruct, PairDomainStructure).structure
+    t_set = set(_require(t_subset, abc.Iterable))
+    _check_int("copies", copies, 1)
     twins: Dict[str, Tuple[str, ...]] = {}
     for e in base.domain:
         a, b = dstruct.pair_of[e]
@@ -152,8 +153,8 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> List[int]:
     which is a bug in the caller, not in the input data. Nodes and
     right-hand sides must be integers, not bools (InputError otherwise).
     """
-    n = len(nodes)
-    if len(rhs) != n:
+    n = len(_require(nodes, abc.Sequence))
+    if len(_require(rhs, abc.Sequence)) != n:
         raise InputError("nodes and right-hand sides must have equal length")
     for value in (*nodes, *rhs):
         _check_int("each node and right-hand side", value)

@@ -77,7 +77,7 @@ class Vocabulary:
     symbols: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        symbols = dict(self.symbols)
+        symbols = dict(_require(self.symbols, abc.Mapping))
         for name, arity in symbols.items():
             if not name or not isinstance(name, str):
                 raise InputError("relation names must be non-empty strings")
@@ -116,14 +116,14 @@ class RelationalStructure:
     def __post_init__(self) -> None:
         seen = set()
         dom = []
-        for e in self.domain:
+        for e in _require(self.domain, abc.Iterable):
             if not isinstance(e, str):
                 raise InputError(f"domain elements must be strings, got {reprlib.repr(e)}")
             if e not in seen:
                 seen.add(e)
                 dom.append(e)
-        rels = {name: frozenset() for name in self.vocabulary.symbols}
-        for name, tuples in dict(self.relations).items():
+        rels = {name: frozenset() for name in _require(self.vocabulary, Vocabulary).symbols}
+        for name, tuples in dict(_require(self.relations, abc.Mapping)).items():
             arity = self.vocabulary.arity(name)
             out = set()
             for t in tuples:
@@ -178,10 +178,10 @@ class ConjunctiveQuery:
     free_vars: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        free = tuple(self.free_vars)
+        free = tuple(_require(self.free_vars, abc.Iterable))
         if len(set(free)) != len(free):
             raise InputError("free variables must not repeat")
-        dom = set(self.structure.domain)
+        dom = set(_require(self.structure, RelationalStructure).domain)
         missing = [v for v in free if v not in dom]
         if missing:
             raise InputError(f"free variables {reprlib.repr(missing)} are not in the query domain")

@@ -67,9 +67,17 @@ class TreeDecomposition:
 
 
 def _walk(k: int, tree_edges: frozenset) -> List[int]:
-    """The bags among 0..k-1 reachable from bag 0, in breadth-first order."""
+    """The bags among 0..k-1 reachable from bag 0, in breadth-first order.
+
+    DecompositionError if there is no bag or a tree edge names another bag.
+    """
+    if not k:
+        raise DecompositionError("decomposition has no bags")
     adj: Dict[int, List[int]] = {i: [] for i in range(k)}
-    for i, j in tree_edges:
+    for edge in tree_edges:
+        i, j = edge
+        if i not in adj or j not in adj:
+            raise DecompositionError(f"bad tree edge {edge!r}")
         adj[i].append(j)
         adj[j].append(i)
     order = [0]

@@ -371,6 +371,25 @@ def test_a_variable_proved_undroppable_is_not_searched_again(monkeypatch):
     assert reference_core_of_query(q, HomSearchConfig()) == core
 
 
+def test_candidates_in_no_atom_are_dropped_without_a_search(monkeypatch):
+    # u, in no atom, folds onto x or y, which the single tuple of E fixes;
+    # only a query built through the API can have such a variable.
+    q = ConjunctiveQuery(structure({"E": 2}, "xyu", {"E": {("x", "y")}}), ("x",))
+    built = []
+
+    class Counted(_HomSearch):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cores, "_HomSearch", Counted)
+    core = core_of_query(q, HomSearchConfig(node_budget=1))
+    assert core.structure.domain == ("x", "y") and core.free_vars == ("x",)
+    assert core_of_structure(q.structure).domain == ("x", "y")
+    assert built == []
+    assert reference_core_of_query(q, HomSearchConfig()) == core
+
+
 def equivalent_fixing_free(q, sub):
     """Some map of q into its induced subquery sub fixes every free variable.
 
@@ -409,37 +428,57 @@ def test_query_cores_against_a_search_free_oracle():
     assert variants == 100 and shrunk >= 30
 
 
-def smallest_core_budget(q):
-    """The least node budget under which core_of_query succeeds."""
+def smallest_core_budget(q, core=core_of_query):
+    """The least node budget under which ``core`` (core_of_query by default) succeeds."""
     low, high = 1, 1
     while True:
         try:
-            core_of_query(q, HomSearchConfig(node_budget=high))
+            core(q, HomSearchConfig(node_budget=high))
             break
         except ResourceBudgetError:
             low, high = high + 1, 2 * high
     while low < high:
         mid = (low + high) // 2
         try:
-            core_of_query(q, HomSearchConfig(node_budget=mid))
+            core(q, HomSearchConfig(node_budget=mid))
             high = mid
         except ResourceBudgetError:
             low = mid + 1
     return high
 
 
+def only_isolated_candidates(q):
+    """Whether every quantified variable outside a one-tuple relation is in no atom,
+    and some variable is not such a one: then the core needs no search."""
+    relations = q.structure.relations.values()
+    alone = {v for ts in relations if len(ts) == 1 for t in ts for v in t}
+    offered = [v for v in q.quantified_vars if v not in alone]
+    used = {v for ts in relations for t in ts for v in t}
+    return bool(offered) and used.isdisjoint(offered) and len(offered) < len(q.structure.domain)
+
+
 def test_core_budgets_match_the_pinned_reference():
     # The free variables' one-value domains stand in for pin relations, so
     # every search call tries the same nodes: the least budget that cores
-    # a query is the same for both, and one node less fails in both.
+    # a query is the same for both, and one node less fails in both. A
+    # query whose candidates are all in no atom is cored without a search:
+    # at any budget, with the core the reference finds at its least one.
     rng = random.Random(9)
     budgets = set()
+    searched = unsearched = 0
     for _ in range(300):
         q = random_query(rng, max_vars=7, max_free=3, max_atoms=6)
         if rng.random() < 0.5:
             q = redundant_variant(rng, q)
         if not q.quantified_vars:
             continue
+        if only_isolated_candidates(q):
+            least = HomSearchConfig(node_budget=smallest_core_budget(q, reference_core_of_query))
+            core = core_of_query(q, HomSearchConfig(node_budget=1))
+            assert core == core_of_query(q, least) == reference_core_of_query(q, least)
+            unsearched += 1
+            continue
+        searched += 1
         budget = smallest_core_budget(q)
         enough = HomSearchConfig(node_budget=budget)
         assert reference_core_of_query(q, enough) == core_of_query(q, enough)
@@ -450,6 +489,7 @@ def test_core_budgets_match_the_pinned_reference():
                     core(q, short)
         budgets.add(budget)
     assert len(budgets) >= 5
+    assert searched and unsearched
 
 
 def test_redundant_variant_does_not_depend_on_the_string_hash_seed():

@@ -48,6 +48,7 @@ from cqcount.generators import (
     quantifier_free_path_query,
     random_instance,
 )
+from cqcount.homomorphisms import _is_forest, _search
 from cqcount.treewidth import (
     EXACT,
     UPPER_BOUND,
@@ -166,6 +167,35 @@ def test_contract_instance_boolean_components():
     empty = digraph("ab", [])
     left, right = contract_instance(q, empty)
     assert right.tuples(fresh) == frozenset()
+
+
+def test_arc_consistent_cyclic_boolean_components_count_zero():
+    # Arc consistency keeps every value in both instances, yet neither has a
+    # solution: a Boolean component whose atoms close a cycle is searched.
+    c6 = digraph("012345", [(str(i), str((i + 1) % 6)) for i in range(6)])
+    twice = structure({"R": 2, "S": 2}, "xy", {"R": {("x", "y")}, "S": {("x", "y")}})
+    swap_or_stay = structure({"R": 2, "S": 2}, "pq", {"R": {("p", "q"), ("q", "p")},
+                                                     "S": {("p", "p"), ("q", "q")}})
+    for a, b in ((TRIANGLE, c6), (twice, swap_or_stay)):
+        q = ConjunctiveQuery(a, ())
+        assert not _is_forest(a.atoms())
+        assert _search(a, b).feasible
+        assert count_answers(q, b) == count_answers_brute(q, b) == 0
+        assert not hom_exists(a, b)
+
+
+def test_acyclic_boolean_components_match_the_oracles():
+    # Arc consistency alone decides a component whose atoms form a forest.
+    rng = random.Random(43)
+    outcomes = []
+    for _ in range(400):
+        q, b = random_instance(rng, max_vars=5, max_free=2, max_target=3)
+        components = counting._analyse(q, HomSearchConfig()).components
+        if any(not scope and _is_forest(atoms) for scope, atoms, _ in components):
+            want = len(naive_answer_set(q, b))
+            assert count_answers(q, b) == count_answers_brute(q, b) == want
+            outcomes.append(want > 0)
+    assert len(outcomes) >= 30 and len(set(outcomes)) == 2
 
 
 def test_contract_instance_preserves_answer_sets():

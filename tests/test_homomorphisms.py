@@ -25,6 +25,7 @@ from cqcount import (
     hom_exists,
     is_homomorphism,
     iter_homomorphisms,
+    parse_query,
 )
 from cqcount.generators import (
     quantified_star_query,
@@ -32,7 +33,7 @@ from cqcount.generators import (
     random_structure,
     random_vocabulary,
 )
-from cqcount.homomorphisms import _HomSearch, _search
+from cqcount.homomorphisms import _HomSearch, _is_forest, _search
 from cqcount.structures import induced_substructure
 
 TRIANGLE = digraph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
@@ -210,6 +211,43 @@ def test_zero_ary_constraints():
     no = structure({"T": 0}, "a", {})
     assert hom_exists(yes, yes)
     assert not hom_exists(yes, no)
+
+
+@pytest.mark.parametrize("body, forest", [
+    ("E(x,y), E(y,z), E(y,w)", True),
+    ("E(x,x), E(x,y), U(y), U(x)", True),
+    ("T(x,y,z), E(w,x)", True),
+    ("E(x,y), E(y,z), E(z,x)", False),
+    ("E(x,y), E(y,x)", False),
+    ("T(x,y,z), E(x,z)", False),
+])
+def test_is_forest_examples(body, forest):
+    assert _is_forest(parse_query(f"answer() :- {body}.").structure.atoms()) == forest
+
+
+def test_hom_exists_decides_forests_without_a_search(monkeypatch):
+    # Every Berge-acyclic source is decided without a plan, as the naive
+    # enumeration decides it; the others still search.
+    rng = random.Random(44)
+    planned = []
+    plan = _HomSearch._plan
+
+    def counted(self, pinned):
+        planned.append(pinned)
+        return plan(self, pinned)
+
+    monkeypatch.setattr(_HomSearch, "_plan", counted)
+    seen = set()
+    for _ in range(300):
+        q, b = random_instance(rng, max_vars=5, max_target=3)
+        a = q.structure
+        forest = _is_forest(a.atoms())
+        planned.clear()
+        assert hom_exists(a, b) == bool(naive_homomorphisms(a, b))
+        assert not (forest and planned)
+        seen.add((forest, hom_exists(a, b)))
+    assert len(seen) == 4
+    assert hom_exists(parse_query("answer() :- E(x,y), E(y,z).").structure, TRIANGLE)
 
 
 def test_budgets_raise_distinct_errors():

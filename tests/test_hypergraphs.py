@@ -9,8 +9,10 @@ from cqcount import (
     CountingConfig,
     Graph,
     InputError,
+    RelationalStructure,
     ResourceBudgetError,
     SHypergraph,
+    Vocabulary,
     are_isomorphic,
     augment,
     blowup,
@@ -39,6 +41,7 @@ from cqcount import (
     primal_graph,
     render_query,
     s_components,
+    solve_vandermonde,
     star_sizes,
     star_structure,
     structure_to_dict,
@@ -126,6 +129,14 @@ _TD = decompose(primal_graph(hypergraph_of(_QF)))
     (lambda: is_homomorphism(_Q.structure, _Q.structure, 42), "Mapping"),
     (lambda: induced_substructure(_Q.structure, 42), "Iterable"),
     (lambda: parse_query(42), "str"),
+    (lambda: Vocabulary("x"), "Mapping"),
+    (lambda: RelationalStructure("x", "x", "x"), "Vocabulary"),
+    (lambda: ConjunctiveQuery("x", "x"), "RelationalStructure"),
+    (lambda: Graph(None, None), "Iterable"),
+    (lambda: SHypergraph(42, 42, 42), "Iterable"),
+    (lambda: blowup(42, 42, 42), "PairDomainStructure"),
+    (lambda: solve_vandermonde(None, None), "Sequence"),
+    (lambda: solve_vandermonde(42, [1]), "Sequence"),
 ], ids=["s_components", "contract", "star_sizes", "primal_graph", "hypergraph_of",
         "count-q", "count-target", "count-cfg", "classify-q", "classify-cfg",
         "verify-td", "core_of_structure", "is_core", "core_of_query", "core_of_query-cfg",
@@ -138,7 +149,9 @@ _TD = decompose(primal_graph(hypergraph_of(_QF)))
         "lift_to_hypergraph-cfg", "is_homomorphism-src", "is_homomorphism-dst",
         "are_isomorphic-a", "are_isomorphic-b", "free_automorphism_set",
         "induced_substructure", "augment", "star_structure", "pin_relation_names",
-        "is_homomorphism-mapping", "induced_substructure-keep", "parse_query"])
+        "is_homomorphism-mapping", "induced_substructure-keep", "parse_query",
+        "Vocabulary", "RelationalStructure", "ConjunctiveQuery", "Graph", "SHypergraph",
+        "blowup-all", "solve_vandermonde-none", "solve_vandermonde-nodes"])
 def test_wrong_typed_arguments_are_input_errors(call, expected):
     with pytest.raises(InputError, match=f"expected a {expected}, got ") as info:
         call()

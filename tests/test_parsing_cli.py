@@ -531,13 +531,19 @@ def test_cli_budget_env_resource_exit(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["decide"], ["count", "--mode", "brute"]])
 def test_deep_search_is_a_budget_error(argv, capsys, tmp_path):
-    # A 1,500-atom Boolean path into K3 recurses deeper than Python allows.
+    # A search over a 1,500-atom Boolean path into K3 recurses deeper than
+    # Python allows. decide answers the path, whose atoms form a forest, by
+    # arc consistency alone, and must search the 1,501-cycle that one more
+    # arc closes it into.
     atoms = ", ".join(f"E(v{i},v{i + 1})" for i in range(1500))
     query = tmp_path / "path.query"
     query.write_text(f"answer() :- {atoms}.")
     db = tmp_path / "k3.json"
     db.write_text(json.dumps(structure_to_dict(clique_graph(3))))
     args = [*argv, "--db", str(db), "--query", str(query)]
+    if argv == ["decide"]:
+        assert run_cli(capsys, *args) == (0, "SAT\n", "")
+        query.write_text(f"answer() :- {atoms}, E(v1500,v0).")
     message = "resource budget exceeded: homomorphism search depth 1501"
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")

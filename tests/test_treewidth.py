@@ -176,12 +176,15 @@ def test_verify_mutations():
     with pytest.raises(DecompositionError, match="width"):
         verify_decomposition(g, wrong)
 
-    # no bags; a tree edge out of range; a cycle beside an isolated bag
-    with pytest.raises(DecompositionError, match="no bags"):
-        verify_decomposition(g, TreeDecomposition((), frozenset(), -1, EXACT))
+    # no bags; a tree edge out of range; a cycle beside an isolated bag.
+    # The first two also have no elimination order.
+    empty = TreeDecomposition((), frozenset(), -1, EXACT)
     far = TreeDecomposition(td.bags, frozenset({(0, len(td.bags))}), td.width, EXACT)
-    with pytest.raises(DecompositionError, match="bad tree edge"):
-        verify_decomposition(g, far)
+    for broken, message in ((empty, "no bags"), (far, "bad tree edge")):
+        with pytest.raises(DecompositionError, match=message):
+            verify_decomposition(g, broken)
+        with pytest.raises(DecompositionError, match=message):
+            broken.elimination_order
     cycle = TreeDecomposition(bags, frozenset({(0, 1), (1, 2), (0, 2)}), 1, EXACT)
     with pytest.raises(DecompositionError, match="not connected"):
         verify_decomposition(chain, cycle)
