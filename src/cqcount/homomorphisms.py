@@ -17,6 +17,11 @@ and the constraints among them checked in one pass; the others follow in
 a static order (smallest domain first), values in sorted order, so every
 result is deterministic. In a pinned search each later variable draws its
 values from a support index of one constraint over variables already set.
+Each plan compiles its later variables' checks once: a constraint of two
+or more variables becomes its rows and an ``operator.itemgetter`` over its
+scope, so a node tests it with one call and one set lookup. A constraint
+of one variable is never checked there, since the root revision already
+keeps the variable's domain inside it.
 Brute-force answer counting plans once and pins each tuple of the free
 variables' arc-consistent domains in turn. Counts use Python integers and
 are never approximated; running out of budget raises, it does not round.
@@ -108,6 +113,17 @@ def _atom_factor(t: tuple, table: Collection[tuple]) -> Tuple[tuple, Collection[
     return scope, dict.fromkeys(map(itemgetter(*keep), rows), 1)
 
 
+def _compile(checks: List[tuple]) -> List[tuple]:
+    """A step's ``(rows, scope)`` checks as ``(rows, getter)`` pairs.
+
+    ``getter(assign)`` is the tuple of the scope's values. A check on one
+    variable is left out: the root revision keeps each domain inside its
+    variable's one-variable constraints, and every candidate is drawn from
+    the domain.
+    """
+    return [(rows, itemgetter(*scope)) for rows, scope in checks if len(scope) > 1]
+
+
 class _Plan(NamedTuple):
     """How a search sets its variables, for one tuple of pinned variables.
 
@@ -115,8 +131,9 @@ class _Plan(NamedTuple):
     among them; the caller keeps each pin inside its domain. Each later
     variable has one step ``(variable, candidates, key, triggers)``: its
     sorted domain, or a support index that ``key`` looks up in the
-    assignment, and the constraints whose last variable it is. A check is a
-    ``(rows, scope)`` pair.
+    assignment, and the constraints whose last variable it is. A pin check
+    is a ``(rows, scope)`` pair, a step's check a ``(rows, getter)`` pair
+    from ``_compile``.
     """
 
     pinned: Tuple[str, ...]
@@ -259,7 +276,7 @@ class _HomSearch:
         for scope, rows in constraints:
             triggers[max(map(at, scope))].append((rows, scope))
         if not pinned:
-            return _Plan((), [], [(v, base[v], None, triggers[i]) for i, v in enumerate(rest)])
+            return _Plan((), [], [(v, base[v], None, _compile(triggers[i])) for i, v in enumerate(rest)])
         steps = []
         for i, v in enumerate(rest, len(pinned)):
             candidates, key = base[v], None
@@ -271,7 +288,7 @@ class _HomSearch:
                     best, before = ci, earlier
             if before:
                 candidates, key = self._support_index(best, v, sorted(before))
-            steps.append((v, candidates, key, triggers[i]))
+            steps.append((v, candidates, key, _compile(triggers[i])))
         return _Plan(pinned, [c for cs in triggers[:len(pinned)] for c in cs], steps)
 
     def _support_index(self, ci: int, v: str, before: List[str]):
@@ -354,8 +371,8 @@ class _HomSearch:
                     )
                 assign[v] = b
                 ok = True
-                for rows, scope in triggers:
-                    if tuple(assign[e] for e in scope) not in rows:
+                for rows, get in triggers:
+                    if get(assign) not in rows:
                         ok = False
                         break
                 if ok:

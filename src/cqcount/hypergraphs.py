@@ -30,7 +30,7 @@ def _edge_set(edges: Iterable, known: AbstractSet) -> frozenset:
     """``edges`` as a frozenset of frozensets; InputError for an edge outside ``known``."""
     result = []
     for e in _require(edges, abc.Iterable):
-        e = frozenset(e)
+        e = frozenset(_require(e, abc.Iterable))
         if not e <= known:
             raise InputError(f"edge {sorted(e)!r} uses unknown vertices")
         result.append(e)

@@ -126,8 +126,12 @@ class RelationalStructure:
         for name, tuples in dict(_require(self.relations, abc.Mapping)).items():
             arity = self.vocabulary.arity(name)
             out = set()
-            for t in tuples:
-                t = tuple(t)
+            for t in _require(tuples, abc.Iterable):
+                try:
+                    t = tuple(t)
+                except TypeError:
+                    _require(t, abc.Iterable)  # InputError if t is not iterable at all
+                    raise
                 if len(t) != arity:
                     raise InputError(
                         f"tuple {reprlib.repr(t)} has length {len(t)}, "

@@ -16,6 +16,7 @@ The convention ``width = max bag size - 1`` makes the empty graph width -1
 from __future__ import annotations
 
 import heapq
+import reprlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
@@ -66,18 +67,25 @@ class TreeDecomposition:
         return tuple(v for level in reversed(levels) for v in level)
 
 
+def _bag_pair(edge: object, k: int) -> Tuple[int, int]:
+    """``edge`` itself if it is a pair of bag indices below ``k``; DecompositionError otherwise."""
+    if isinstance(edge, tuple) and len(edge) == 2 and all(
+            isinstance(i, int) and 0 <= i < k for i in edge):
+        return edge
+    raise DecompositionError(
+        f"bad tree edge: expected a pair of bag indices, got {reprlib.repr(edge)}")
+
+
 def _walk(k: int, tree_edges: frozenset) -> List[int]:
     """The bags among 0..k-1 reachable from bag 0, in breadth-first order.
 
-    DecompositionError if there is no bag or a tree edge names another bag.
+    DecompositionError if there is no bag or a tree edge is not a pair of bags.
     """
     if not k:
         raise DecompositionError("decomposition has no bags")
     adj: Dict[int, List[int]] = {i: [] for i in range(k)}
     for edge in tree_edges:
-        i, j = edge
-        if i not in adj or j not in adj:
-            raise DecompositionError(f"bad tree edge {edge!r}")
+        i, j = _bag_pair(edge, k)
         adj[i].append(j)
         adj[j].append(i)
     order = [0]
@@ -304,8 +312,8 @@ def verify_decomposition(obj: Graph, td: TreeDecomposition) -> int:
         raise DecompositionError("decomposition has no bags")
     k = len(bags)
     for edge in td.tree_edges:
-        i, j = edge
-        if not (0 <= i < j < k):
+        i, j = _bag_pair(edge, k)
+        if i >= j:
             raise DecompositionError(f"bad tree edge {edge!r}")
     if len(td.tree_edges) != k - 1:
         raise DecompositionError("tree edge count is wrong for a tree")

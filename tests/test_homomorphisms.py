@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -410,3 +411,71 @@ def test_node_budget_counts_pin_sets_and_candidates():
     with pytest.raises(ResourceBudgetError):
         count_answers_brute(q, b, HomSearchConfig(node_budget=1))
     assert count_answers_brute(q, b, HomSearchConfig(node_budget=1 + len(b.domain))) == want
+
+
+def _drift_instance(rng):
+    """A query structure and a dense target over unary, binary and ternary
+    symbols: atoms often repeat a variable, and searches backtrack."""
+    symbols = {"U": 1, "E": 2, "T": 3}
+    variables = [f"v{i}" for i in range(rng.randint(3, 6))]
+    atoms = {name: set() for name in symbols}
+    for _ in range(rng.randint(3, 7)):
+        name = rng.choice("UEET")
+        atoms[name].add(tuple(rng.choice(variables) for _ in range(symbols[name])))
+    elements = [f"b{i}" for i in range(rng.randint(3, 6))]
+    rows = {}
+    for name, arity in symbols.items():
+        every = list(product(elements, repeat=arity))
+        rows[name] = set(rng.sample(every, round(rng.uniform(0.3, 0.8) * len(every))))
+    return structure(symbols, variables, atoms), structure(symbols, elements, rows)
+
+
+def _least_budget(a, b, pins, injective):
+    """The least ``node_budget`` under which listing the homomorphisms does not raise."""
+    def runs(budget):
+        try:
+            list(iter_homomorphisms(a, b, HomSearchConfig(node_budget=budget), pins, injective))
+        except ResourceBudgetError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not runs(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if runs(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_search_order_and_node_counts_do_not_drift():
+    # Solutions in canonical order and the least sufficient node budget of
+    # unpinned and pinned searches, plain and injective, against values
+    # recorded before step checks were compiled to getters. A getter that
+    # reads the wrong positions changes the solutions.
+    rng = random.Random(71)
+    digest = hashlib.sha256()
+    budgets = solutions = 0
+    shapes = {"unary_atom": 0, "repeated_variable": 0, "pinned_solution": 0,
+              "injective_solution": 0}
+    for _ in range(40):
+        a, b = _drift_instance(rng)
+        shapes["unary_atom"] += bool(a.tuples("U"))
+        shapes["repeated_variable"] += any(len(set(t)) < len(t) for _, t in a.atoms())
+        pins = {v: rng.choice(b.domain) for v in sorted(rng.sample(a.domain, rng.randint(1, 2)))}
+        for partial in (None, pins):
+            for injective in (False, True):
+                got = [tuple(sorted(h.items()))
+                       for h in iter_homomorphisms(a, b, partial=partial, injective=injective)]
+                budget = _least_budget(a, b, partial, injective)
+                digest.update(repr((got, budget)).encode())
+                budgets += budget
+                solutions += len(got)
+                shapes["pinned_solution"] += bool(partial and got)
+                shapes["injective_solution"] += bool(injective and got)
+    assert all(shapes.values()), shapes
+    assert (budgets, solutions) == (19319, 4143)
+    assert digest.hexdigest() == "8946bc3019d0c73375be184914a5bfe13aa913ad16dce049352bbe480a0fe929"

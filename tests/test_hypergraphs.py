@@ -12,6 +12,7 @@ from cqcount import (
     RelationalStructure,
     ResourceBudgetError,
     SHypergraph,
+    TreeDecomposition,
     Vocabulary,
     are_isomorphic,
     augment,
@@ -82,6 +83,8 @@ _H = hypergraph_of(_Q)
 _COMP = s_components(_H)[0]
 _QF = ConjunctiveQuery(_Q.structure, ("x", "y"))
 _TD = decompose(primal_graph(hypergraph_of(_QF)))
+# Three one-vertex bags and a tree edge with three ends.
+_TRIPLE_EDGE = TreeDecomposition((frozenset("a"),) * 3, frozenset({(0, 1, 2)}), 0, "exact")
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -137,6 +140,12 @@ _TD = decompose(primal_graph(hypergraph_of(_QF)))
     (lambda: blowup(42, 42, 42), "PairDomainStructure"),
     (lambda: solve_vandermonde(None, None), "Sequence"),
     (lambda: solve_vandermonde(42, [1]), "Sequence"),
+    (lambda: Graph(("a",), [42]), "Iterable"),
+    (lambda: SHypergraph(("a",), [42], ()), "Iterable"),
+    (lambda: RelationalStructure(Vocabulary({"E": 2}), ("a",), {"E": 42}), "Iterable"),
+    (lambda: RelationalStructure(Vocabulary({"E": 2}), ("a",), {"E": [42]}), "Iterable"),
+    (lambda: _TRIPLE_EDGE.elimination_order, "pair of bag indices"),
+    (lambda: verify_decomposition(_G, _TRIPLE_EDGE), "pair of bag indices"),
 ], ids=["s_components", "contract", "star_sizes", "primal_graph", "hypergraph_of",
         "count-q", "count-target", "count-cfg", "classify-q", "classify-cfg",
         "verify-td", "core_of_structure", "is_core", "core_of_query", "core_of_query-cfg",
@@ -151,7 +160,10 @@ _TD = decompose(primal_graph(hypergraph_of(_QF)))
         "induced_substructure", "augment", "star_structure", "pin_relation_names",
         "is_homomorphism-mapping", "induced_substructure-keep", "parse_query",
         "Vocabulary", "RelationalStructure", "ConjunctiveQuery", "Graph", "SHypergraph",
-        "blowup-all", "solve_vandermonde-none", "solve_vandermonde-nodes"])
+        "blowup-all", "solve_vandermonde-none", "solve_vandermonde-nodes",
+        "Graph-edge", "SHypergraph-edge", "RelationalStructure-tuples",
+        "RelationalStructure-tuple",
+        "elimination_order-tree-edge", "verify-tree-edge"])
 def test_wrong_typed_arguments_are_input_errors(call, expected):
     with pytest.raises(InputError, match=f"expected a {expected}, got ") as info:
         call()

@@ -1,0 +1,88 @@
+"""``count_answers`` against SQLite, at sizes brute force cannot reach.
+
+``sqlite_oracle`` shares no code with the library. It is first checked
+against the naive oracle on small instances, then compared with
+``count_answers`` on projected stars and paths over random digraphs with
+100 to 200 vertices and on random instances.
+"""
+
+import random
+
+import pytest
+from conftest import naive_answer_set, structure
+from sqlite_oracle import count_answers_sql
+
+from cqcount import ConjunctiveQuery, count_answers, parse_query
+from cqcount.generators import quantified_star_query, random_instance
+
+
+def _random_digraph(n, seed):
+    """``n`` vertices and 3n uniform arcs (fewer after duplicates collapse)."""
+    rng = random.Random(seed)
+    vertices = [f"n{i}" for i in range(n)]
+    arcs = {(rng.choice(vertices), rng.choice(vertices)) for _ in range(3 * n)}
+    return structure({"E": 2}, vertices, {"E": arcs})
+
+
+@pytest.mark.parametrize("symbols, domain, atoms, free, elements, rows, want", [
+    # a 0-ary atom whose relation holds, then one whose relation is empty
+    ({"Z": 0, "E": 2}, "xy", {"Z": {()}, "E": {("x", "y")}}, "x", "ab",
+     {"Z": {()}, "E": {("a", "b"), ("b", "b")}}, 2),
+    ({"Z": 0, "E": 2}, "xy", {"Z": {()}, "E": {("x", "y")}}, "x", "ab",
+     {"Z": set(), "E": {("a", "b")}}, 0),
+    # a free variable in no atom ranges over the whole domain
+    ({"E": 2}, "xyz", {"E": {("x", "y")}}, "xz", "abc", {"E": {("a", "b")}}, 3),
+    # a quantified variable in no atom needs some element
+    ({"E": 2}, "xz", {"E": set()}, "x", "ab", {"E": set()}, 2),
+    ({"E": 2}, "xz", {"E": set()}, "", "", {"E": set()}, 0),
+    # Boolean queries count 0 or 1; a repeated variable is an equality
+    ({"E": 2}, "xy", {"E": {("x", "y"), ("y", "x")}}, "", "abc",
+     {"E": {("a", "b"), ("b", "a"), ("b", "c")}}, 1),
+    ({"E": 2}, "x", {"E": {("x", "x")}}, "", "ab", {"E": {("a", "b")}}, 0),
+    ({"E": 2}, "x", {"E": {("x", "x")}}, "x", "ab", {"E": {("a", "a"), ("b", "b")}}, 2),
+    # an empty target relation, and the query with no atoms
+    ({"E": 2, "U": 1}, "xy", {"E": {("x", "y")}}, "y", "ab", {"E": set(), "U": set()}, 0),
+    ({"E": 2}, "", {"E": set()}, "", "", {"E": set()}, 1),
+])
+def test_sqlite_oracle_edge_cases(symbols, domain, atoms, free, elements, rows, want):
+    q = ConjunctiveQuery(structure(symbols, domain, atoms), tuple(free))
+    b = structure(symbols, elements, rows)
+    assert len(naive_answer_set(q, b)) == want
+    assert count_answers_sql(q, b) == want
+    assert count_answers(q, b) == want
+
+
+def test_sqlite_oracle_refuses_more_than_64_tables():
+    path = parse_query("answer() :- " + ", ".join(f"E(v{i},v{i + 1})" for i in range(65)) + ".")
+    with pytest.raises(ValueError, match="65 tables"):
+        count_answers_sql(path, _random_digraph(3, 1))
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("query", [
+    quantified_star_query(2),
+    parse_query("answer(s1,s2) :- E(c,s1), E(c,s2), E(c,s3)."),
+    parse_query("answer(a,c) :- E(a,b), E(b,c)."),
+    parse_query("answer(a,d) :- E(a,b), E(b,c), E(c,d)."),
+    parse_query("answer(a,c) :- E(a,b), E(b,c), E(c,d)."),
+], ids=["star2", "star3-two-free", "path2", "path3-ends", "path3-first-two"])
+def test_projections_match_sqlite(query, n):
+    db = _random_digraph(n, n)
+    want = count_answers_sql(query, db)
+    assert want > n  # projections that keep many rows
+    assert count_answers(query, db) == want
+
+
+def test_random_instances_match_sqlite():
+    # Targets of up to 12 elements; the naive oracle also checks the helper
+    # wherever it enumerates at most 4096 maps.
+    rng = random.Random(151)
+    checked = 0
+    for _ in range(200):
+        q, b = random_instance(rng, max_vars=7, max_free=4, max_atoms=6, max_target=12)
+        want = count_answers_sql(q, b)
+        assert count_answers(q, b) == want
+        if len(b.domain) ** len(q.structure.domain) <= 4096:
+            assert len(naive_answer_set(q, b)) == want
+            checked += 1
+    assert checked >= 50
