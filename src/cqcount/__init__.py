@@ -17,7 +17,6 @@ from .counting import (
     CountingConfig,
     TrichotomyReport,
     classify,
-    component_projection,
     contract_instance,
     count_answers,
     count_quantifier_free_td,
@@ -25,16 +24,12 @@ from .counting import (
 from .errors import CQError, InputError, InternalError, ResourceBudgetError
 from .homomorphisms import (
     HomSearchConfig,
-    are_isomorphic,
     automorphisms,
     count_answers_brute,
     enumerate_answers,
-    find_extension,
     free_automorphism_set,
-    hom_equivalent,
     hom_exists,
     is_homomorphism,
-    iter_homomorphisms,
 )
 from .hypergraphs import (
     Graph,
@@ -61,7 +56,6 @@ from .structures import (
     RelationalStructure,
     Vocabulary,
     augment,
-    induced_substructure,
     pin_relation_names,
     star_structure,
     structure_from_dict,
@@ -70,11 +64,10 @@ from .structures import (
 from .treewidth import (
     TreeDecomposition,
     decompose,
-    exact_treewidth,
     verify_decomposition,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Assignment",
@@ -96,12 +89,10 @@ __all__ = [
     "TreeDecomposition",
     "TrichotomyReport",
     "Vocabulary",
-    "are_isomorphic",
     "augment",
     "automorphisms",
     "blowup",
     "classify",
-    "component_projection",
     "contract",
     "contract_instance",
     "core_of_query",
@@ -112,16 +103,11 @@ __all__ = [
     "count_star_via_oracle",
     "decompose",
     "enumerate_answers",
-    "exact_treewidth",
-    "find_extension",
     "free_automorphism_set",
-    "hom_equivalent",
     "hom_exists",
     "hypergraph_of",
-    "induced_substructure",
     "is_core",
     "is_homomorphism",
-    "iter_homomorphisms",
     "lift_to_hypergraph",
     "load_database",
     "pair_structure",

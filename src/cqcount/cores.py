@@ -53,7 +53,7 @@ with the rest of their memoised analysis of that query.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import _require
 from .homomorphisms import DEFAULT_CONFIG, HomSearchConfig, _HomSearch
@@ -70,11 +70,9 @@ def _first_retraction(search: _HomSearch, candidates: Sequence[str]):
     for i, v in enumerate(candidates):
         # The identity is a solution, so v's domain holds v.
         if len(search.base[v]) > 1:
-            view = search.avoiding(v)
-            if view.feasible:
-                h = next(view._run(view._plan(()), ()), None)
-                if h is not None:
-                    return i, h
+            h = next(search.avoiding(v).solutions(), None)
+            if h is not None:
+                return i, h
     return len(candidates), None
 
 

@@ -40,6 +40,7 @@ underlying theory classifies query classes, not individual queries.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -111,7 +112,7 @@ class CountingConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_AUTO, MODE_BRUTE, MODE_STRUCTURAL):
-            raise InputError(f"unknown counting mode {self.mode!r}")
+            raise InputError(f"unknown counting mode {reprlib.repr(self.mode)}")
         _require(self.hom, HomSearchConfig)
 
     @property
@@ -126,8 +127,8 @@ def _bare_subquery(atoms: List[Tuple[str, tuple]], domain: Sequence[str],
                    comp: SComponent) -> Tuple[tuple, list, tuple]:
     """A component's free scope and its induced subquery's atoms and domain.
 
-    The atoms keep the sorted order of ``atoms``; like
-    ``induced_substructure``, the subquery keeps every 0-ary atom.
+    The atoms keep the sorted order of ``atoms``: those whose variables
+    all lie in the closure or the component core, every 0-ary atom included.
     """
     keep = comp.closure | comp.component_core
     return (comp.free_scope, [atom for atom in atoms if keep.issuperset(atom[1])],
@@ -166,28 +167,6 @@ def _projection(component: Tuple[tuple, list, tuple], dst: RelationalStructure,
     if not scope:
         return scope, {(): 1} if _exists(search, atoms) else {}
     return scope, dict.fromkeys(_answers(search, scope), 1)
-
-
-def component_projection(q: ConjunctiveQuery, dst: RelationalStructure,
-                         comp: SComponent,
-                         cfg: CountingConfig = DEFAULT_COUNTING_CONFIG) -> Tuple[Tuple[str, ...], frozenset]:
-    """The relation a component contributes to the contracted instance.
-
-    Returns the sorted free variables the component touches and the set of
-    their value tuples that extend to a homomorphism of the component's
-    induced subquery. The component core is included in the induced set so
-    that an isolated quantified variable still demands a target value.
-    The rows are the answers of that subquery with the touched free
-    variables as its head, found by the brute-force answer loop, so
-    ``cfg.hom.enumeration_cap`` bounds the |target domain|^|scope|
-    candidate tuples it may walk (ResourceBudgetError beyond it).
-    """
-    _require(comp, SComponent)
-    _require(cfg, CountingConfig)
-    check_vocabulary(_require(q, ConjunctiveQuery).structure, _require(dst, RelationalStructure))
-    component = _bare_subquery(q.structure.atoms(), q.structure.domain, comp)
-    scope, rows = _projection(component, dst, cfg.hom)
-    return scope, frozenset(rows)
 
 
 def contract_instance(q: ConjunctiveQuery, dst: RelationalStructure,

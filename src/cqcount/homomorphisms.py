@@ -153,9 +153,10 @@ class _HomSearch:
     or its ``start`` entry; one starting value acts as a singleton unary
     relation pinning it there. No domain list is changed in place.
 
-    Building the context indexes the instance once; ``solutions`` can then
-    be called many times with different pinned variables (this is what makes
-    brute-force answer counting tolerable). Generalized arc consistency
+    Building the context indexes the instance once; ``_answers`` then runs
+    one plan many times with different values of the pinned variables (this
+    is what makes brute-force answer counting tolerable), and ``solutions``
+    is the one unpinned run. Generalized arc consistency
     over every constraint, unary ones included, is established once at the
     root, and ``base`` holds the sorted domains it leaves; ``feasible`` is
     False exactly when it empties a domain or a 0-ary atom fails in the
@@ -175,8 +176,6 @@ class _HomSearch:
                  start: Optional[Mapping[str, list]] = None,
                  cfg: HomSearchConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        self.src_domain = src_domain
-        self.dst_domain = dst_domain
         # Variables share one sorted value list until a revision shrinks it.
         self.values = values = sorted(dst_domain)
         if start:
@@ -310,29 +309,15 @@ class _HomSearch:
         index = {key: sorted(vs) for key, vs in index.items()}
         return index, itemgetter(*before)
 
-    def solutions(self, pins: Optional[Mapping[str, str]] = None,
-                  injective: bool = False) -> Iterator[Assignment]:
-        """All homomorphisms extending ``pins``, canonically ordered.
+    def solutions(self, injective: bool = False) -> Iterator[Assignment]:
+        """All homomorphisms, only the injective ones if asked, canonically ordered.
 
-        The order is lexicographic in the values of the unpinned variables,
-        taken smallest domain first, then by name. A pin outside its
-        variable's domain has no solutions. Pins map strings to strings
-        (InputError otherwise).
+        The order is lexicographic in the variables' values, taken smallest
+        domain first, then by name.
         """
-        pins = dict(pins or {})
-        if pins:
-            if not all(isinstance(x, str) for x in (*pins, *pins.values())):
-                raise InputError("pinned variables and values must be strings")
-            bad_keys = sorted(set(pins).difference(self.src_domain))
-            if bad_keys:
-                raise InputError(f"pinned variables {bad_keys!r} are not in the source domain")
-            bad_vals = sorted(set(pins.values()).difference(self.dst_domain))
-            if bad_vals:
-                raise InputError(f"pinned values {bad_vals!r} are not in the target domain")
-        if not self.feasible or any(b not in self.base[v] for v, b in pins.items()):
+        if not self.feasible:
             return iter(())
-        pinned = tuple(sorted(pins))
-        return self._run(self._plan(pinned), tuple([pins[v] for v in pinned]), injective)
+        return self._run(self._plan(()), (), injective)
 
     def _run(self, plan: _Plan, pins: tuple,
              injective: bool = False) -> Iterator[Assignment]:
@@ -401,16 +386,6 @@ def _search(src: RelationalStructure, dst: RelationalStructure,
                       cfg=_require(cfg, HomSearchConfig))
 
 
-def find_extension(src: RelationalStructure, dst: RelationalStructure,
-                   partial: Optional[Mapping[str, str]] = None,
-                   cfg: HomSearchConfig = DEFAULT_CONFIG) -> Optional[Assignment]:
-    """A total homomorphism src -> dst extending ``partial``, or None.
-
-    Deterministic: the canonically first solution is returned.
-    """
-    return next(_search(src, dst, cfg).solutions(partial), None)
-
-
 def _is_forest(atoms: Iterable[Tuple[str, tuple]]) -> bool:
     """True iff the incidence graph of ``atoms`` and their distinct variables is a forest.
 
@@ -445,20 +420,13 @@ def _exists(search: _HomSearch, atoms: Sequence[Tuple[str, tuple]]) -> bool:
     those build no plan and try no value; the others look for a first
     solution.
     """
-    if not search.feasible:
-        return False
-    return _is_forest(atoms) or next(search._run(search._plan(()), ()), None) is not None
+    return search.feasible and (_is_forest(atoms) or next(search.solutions(), None) is not None)
 
 
 def hom_exists(src: RelationalStructure, dst: RelationalStructure,
                cfg: HomSearchConfig = DEFAULT_CONFIG) -> bool:
     """Whether some homomorphism src -> dst exists; a Berge-acyclic ``src`` needs no search."""
     return _exists(_search(src, dst, cfg), src.atoms())
-
-
-def hom_equivalent(a: RelationalStructure, b: RelationalStructure,
-                   cfg: HomSearchConfig = DEFAULT_CONFIG) -> bool:
-    return hom_exists(a, b, cfg) and hom_exists(b, a, cfg)
 
 
 def is_homomorphism(src: RelationalStructure, dst: RelationalStructure,
@@ -474,14 +442,6 @@ def is_homomorphism(src: RelationalStructure, dst: RelationalStructure,
             if tuple(mapping[e] for e in t) not in target:
                 return False
     return True
-
-
-def iter_homomorphisms(src: RelationalStructure, dst: RelationalStructure,
-                       cfg: HomSearchConfig = DEFAULT_CONFIG,
-                       partial: Optional[Mapping[str, str]] = None,
-                       injective: bool = False) -> Iterator[Assignment]:
-    """All homomorphisms src -> dst (optionally injective), canonical order."""
-    yield from _search(src, dst, cfg).solutions(partial, injective=injective)
 
 
 def _check_candidates(size: int, free: int, cfg: HomSearchConfig) -> None:
@@ -535,7 +495,7 @@ def automorphisms(a: RelationalStructure,
     An injective endomorphism of a finite structure maps each relation onto
     itself, so searching injective homomorphisms a -> a is enough.
     """
-    return list(iter_homomorphisms(a, a, cfg, injective=True))
+    return list(_search(a, a, cfg).solutions(injective=True))
 
 
 def free_automorphism_set(q: ConjunctiveQuery,
@@ -552,21 +512,3 @@ def free_automorphism_set(q: ConjunctiveQuery,
         if set(key) <= free:
             seen.setdefault(key, {v: h[v] for v in q.free_vars})
     return [seen[k] for k in sorted(seen)]
-
-
-def are_isomorphic(a: RelationalStructure, b: RelationalStructure,
-                   cfg: HomSearchConfig = DEFAULT_CONFIG) -> bool:
-    """Isomorphism by search: equal profiles plus a bijective homomorphism.
-
-    With per-symbol tuple counts equal, a bijective homomorphism maps each
-    relation onto its counterpart, so its inverse is automatically a
-    homomorphism too.
-    """
-    _require(a, RelationalStructure)
-    if len(a.domain) != len(_require(b, RelationalStructure).domain):
-        return False
-    if dict(a.vocabulary.symbols) != dict(b.vocabulary.symbols):
-        return False
-    if any(len(a.tuples(n)) != len(b.tuples(n)) for n in a.vocabulary.symbols):
-        return False
-    return next(iter_homomorphisms(a, b, cfg, injective=True), None) is not None

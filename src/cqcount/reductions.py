@@ -185,6 +185,7 @@ def count_star_via_oracle(q: ConjunctiveQuery, b: RelationalStructure,
     check reads ``count_answers``'s memoised analysis of ``q`` under ``cfg``.
     """
     _require(q, ConjunctiveQuery)
+    _require(oracle, abc.Callable)
     if _analyse(q, _require(cfg, HomSearchConfig)).core != q:
         raise InputError("the pinned (augmented) query structure must be a core")
     dstruct = pair_structure(q.structure, b)

@@ -25,7 +25,7 @@ import reprlib
 from collections import abc
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import InputError, _check_int, _require
 
@@ -195,24 +195,6 @@ class ConjunctiveQuery:
     def quantified_vars(self) -> Tuple[str, ...]:
         free = set(self.free_vars)
         return tuple([v for v in self.structure.domain if v not in free])
-
-
-def induced_substructure(a: RelationalStructure, keep: Iterable) -> RelationalStructure:
-    """Restrict ``a`` to the elements in ``keep``.
-
-    Each relation retains exactly the tuples all of whose entries survive.
-    Domain order is preserved.
-    """
-    keep_set = set(_require(keep, abc.Iterable))
-    unknown = sorted(keep_set - set(_require(a, RelationalStructure).domain))
-    if unknown:
-        raise InputError(f"elements {reprlib.repr(unknown)} are not in the domain")
-    dom = tuple(e for e in a.domain if e in keep_set)
-    rels = {
-        name: frozenset(t for t in ts if all(e in keep_set for e in t))
-        for name, ts in a.relations.items()
-    }
-    return RelationalStructure(a.vocabulary, dom, rels)
 
 
 def _fresh_names(vocab: Vocabulary, base: str, keys: Sequence[str]) -> Dict[str, str]:

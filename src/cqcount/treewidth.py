@@ -158,16 +158,6 @@ def _exact_elimination(g: Graph) -> Tuple[List[str], int]:
     return order_last_first[::-1], f[size - 1]
 
 
-def exact_treewidth(obj: Graph) -> int:
-    """The exact treewidth, by subset DP over at most 16 vertices."""
-    g = _require(obj, Graph)
-    n = len(g.vertices)
-    if n > DEFAULT_EXACT_THRESHOLD:
-        raise InputError(
-            f"exact treewidth handles at most {DEFAULT_EXACT_THRESHOLD} vertices, got {n}")
-    return _exact_elimination(g)[1]
-
-
 def _fill_in(adjacency: Dict[str, set], v: str) -> int:
     """How many edges eliminating v would add: non-adjacent neighbour pairs."""
     nb = adjacency[v]
@@ -280,7 +270,7 @@ def decompose(obj: Graph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Tre
     Results are memoised by (graph value, threshold) and shared between
     callers; they are immutable. The argument is checked to be a ``Graph``
     before the memo hashes it, and the threshold to be an integer in
-    0..16, the subset DP's own cap (``exact_treewidth``).
+    0..16, the subset DP's own cap (``_exact_elimination``).
     """
     _check_int("exact_threshold", exact_threshold, 0, DEFAULT_EXACT_THRESHOLD)
     return _decompose(_require(obj, Graph), exact_threshold)

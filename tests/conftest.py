@@ -2,13 +2,17 @@
 
 Oracles here are deliberately naive (full enumeration) so they stay
 independent of the search and counting code paths they check.
+``pinned_solutions`` is the one helper that drives the library's search:
+pinned and injective runs have no public entry, and tests reach them
+through it.
 """
 
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
-from cqcount import RelationalStructure, Vocabulary, is_homomorphism
+from cqcount import RelationalStructure, Vocabulary, hom_exists, is_homomorphism
 from cqcount.counting import _analyse
 from cqcount.treewidth import _decompose
 
@@ -72,3 +76,63 @@ def naive_answer_set(q, b):
         tuple(h[v] for v in q.free_vars)
         for h in naive_homomorphisms(q.structure, b)
     }
+
+
+def induced_substructure(a, keep):
+    """``a`` restricted to the elements in ``keep``, in domain order.
+
+    Each relation keeps the tuples whose entries all survive.
+    """
+    keep = set(keep)
+    if not keep <= set(a.domain):
+        raise ValueError(f"elements {sorted(keep - set(a.domain))} are not in the domain")
+    relations = {name: {t for t in ts if keep.issuperset(t)} for name, ts in a.relations.items()}
+    return RelationalStructure(a.vocabulary, tuple(e for e in a.domain if e in keep), relations)
+
+
+def hom_equivalent(a, b):
+    return hom_exists(a, b) and hom_exists(b, a)
+
+
+def _profiles(a):
+    """Each element's occurrence profile: how often it sits at each position of each relation."""
+    seen = {e: Counter() for e in a.domain}
+    for name, ts in a.relations.items():
+        for t in ts:
+            for i, e in enumerate(t):
+                seen[e][name, i] += 1
+    return {e: tuple(sorted(c.items())) for e, c in seen.items()}
+
+
+def are_isomorphic(a, b):
+    """Isomorphism without a search: equal sizes, symbols and per-symbol
+    tuple counts, then every bijection that keeps occurrence profiles."""
+    if len(a.domain) != len(b.domain) or dict(a.vocabulary.symbols) != dict(b.vocabulary.symbols):
+        return False
+    if any(len(a.tuples(name)) != len(b.tuples(name)) for name in a.vocabulary.symbols):
+        return False
+    classes = {}
+    for side, s in enumerate((a, b)):
+        for e, p in _profiles(s).items():
+            classes.setdefault(p, ([], []))[side].append(e)
+    if any(len(left) != len(right) for left, right in classes.values()):
+        return False
+    groups = list(classes.values())
+    for images in product(*[permutations(right) for _, right in groups]):
+        h = {e: f for (left, _), image in zip(groups, images) for e, f in zip(left, image)}
+        if all({tuple(h[e] for e in t) for t in ts} == b.tuples(name)
+               for name, ts in a.relations.items()):
+            return True
+    return False
+
+
+def pinned_solutions(search, pins, injective=False):
+    """The solutions of the library search ``search`` that extend ``pins``.
+
+    Nothing unless the search is feasible and each pin lies in its
+    variable's domain; otherwise one plan with the pinned variables first.
+    """
+    if not search.feasible or any(b not in search.base[v] for v, b in pins.items()):
+        return iter(())
+    pinned = tuple(sorted(pins))
+    return search._run(search._plan(pinned), tuple([pins[v] for v in pinned]), injective)

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import relabel
+from conftest import are_isomorphic, hom_equivalent, relabel
 
 from cqcount import (
     CASE_I,
@@ -21,7 +21,6 @@ from cqcount import (
     RelationalStructure,
     TreeDecomposition,
     Vocabulary,
-    are_isomorphic,
     blowup,
     classify,
     contract,
@@ -33,8 +32,6 @@ from cqcount import (
     count_star_via_oracle,
     decompose,
     enumerate_answers,
-    exact_treewidth,
-    hom_equivalent,
     hypergraph_of,
     is_core,
     pair_structure,
@@ -53,7 +50,7 @@ from cqcount.generators import (
     random_vocabulary,
     redundant_variant,
 )
-from cqcount.treewidth import DecompositionError
+from cqcount.treewidth import DecompositionError, _exact_elimination
 
 DATA = Path(__file__).parent / "data"
 STRUCTURAL = CountingConfig(mode="structural")
@@ -216,16 +213,16 @@ def _random_graph(rng, max_n=30):
 def test_criterion_6_treewidth():
     tree = Graph(tuple("abcdef"), frozenset(
         frozenset(p) for p in [("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"), ("a", "f")]))
-    assert exact_treewidth(tree) == 1
+    assert _exact_elimination(tree)[1] == 1
     for n in (3, 4, 7):
         vs = [f"c{i}" for i in range(n)]
         cycle = Graph(tuple(vs), frozenset(
             frozenset((vs[i], vs[(i + 1) % n])) for i in range(n)))
-        assert exact_treewidth(cycle) == 2
+        assert _exact_elimination(cycle)[1] == 2
     for k in range(2, 11):
         vs = [f"k{i}" for i in range(k)]
         clique = Graph(tuple(vs), frozenset(frozenset(p) for p in combinations(vs, 2)))
-        assert exact_treewidth(clique) == k - 1
+        assert _exact_elimination(clique)[1] == k - 1
 
     def grid(n):
         vs = [f"g{i}_{j}" for i in range(n) for j in range(n)]
@@ -238,8 +235,8 @@ def test_criterion_6_treewidth():
                     pairs.append((f"g{i}_{j}", f"g{i}_{j + 1}"))
         return Graph(tuple(vs), frozenset(frozenset(p) for p in pairs))
 
-    assert exact_treewidth(grid(3)) == 3
-    assert exact_treewidth(grid(4)) == 4
+    assert _exact_elimination(grid(3))[1] == 3
+    assert _exact_elimination(grid(4))[1] == 4
 
     rng = random.Random(6)
     fuzzed = 0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 from conftest import clear_caches as clear
-from conftest import digraph
+from conftest import digraph, induced_substructure
 
 from cqcount import (
     CASE_I,
@@ -36,7 +36,6 @@ from cqcount import (
     count_answers_brute,
     decompose,
     hypergraph_of,
-    induced_substructure,
     parse_query,
     primal_graph,
     s_components,

@@ -7,7 +7,17 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from conftest import digraph, naive_homomorphisms, relabel, structure, undirected
+from conftest import (
+    are_isomorphic,
+    digraph,
+    hom_equivalent,
+    induced_substructure,
+    naive_homomorphisms,
+    pinned_solutions,
+    relabel,
+    structure,
+    undirected,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,18 +25,13 @@ from cqcount import (
     ConjunctiveQuery,
     HomSearchConfig,
     ResourceBudgetError,
-    are_isomorphic,
     augment,
     core_of_query,
     core_of_structure,
     count_answers,
     count_answers_brute,
-    find_extension,
-    hom_equivalent,
-    induced_substructure,
     is_core,
     is_homomorphism,
-    iter_homomorphisms,
     parse_query,
     render_query,
     structure_to_dict,
@@ -157,7 +162,7 @@ def test_endomorphisms_fixing_free_vars_are_bijections():
         q, _ = random_instance(rng, max_vars=4, max_free=3, max_target=3)
         core = core_of_query(q)
         pins = {v: v for v in core.free_vars}
-        for h in iter_homomorphisms(core.structure, core.structure, partial=pins):
+        for h in pinned_solutions(_search(core.structure, core.structure), pins):
             assert len(set(h.values())) == len(core.structure.domain)
 
 
@@ -179,7 +184,7 @@ def test_budget_propagates():
 def reference_retraction(a, cfg, order):
     for v in order:
         sub = induced_substructure(a, [e for e in a.domain if e != v])
-        h = find_extension(a, sub, cfg=cfg)
+        h = next(_search(a, sub, cfg).solutions(), None)
         if h is not None:
             return h
     return None

@@ -22,7 +22,6 @@ from cqcount import (
     TrichotomyReport,
     Vocabulary,
     classify,
-    component_projection,
     contract,
     contract_instance,
     core_of_query,
@@ -63,11 +62,17 @@ BRUTE = CountingConfig(mode="brute")
 TRIANGLE = digraph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
 
+def component_projection(q, b, cfg=CountingConfig()):
+    """The scope and rows of the one component atom ``contract_instance`` adds for ``q``."""
+    left, right = contract_instance(q, b, cfg)
+    (scope,) = left.structure.tuples("__comp_0")
+    return scope, right.tuples("__comp_0")
+
+
 def test_component_projection_out_degree():
     q = ConjunctiveQuery(digraph(["s", "y"], [("s", "y")]), ("s",))
     b = digraph("uvw", [("u", "v"), ("v", "w")])
-    comp = s_components(hypergraph_of(q))[0]
-    scope, rows = component_projection(q, b, comp)
+    scope, rows = component_projection(q, b)
     assert scope == ("s",)
     assert rows == frozenset({("u",), ("v",)})
 
@@ -76,17 +81,15 @@ def test_component_projection_boolean():
     q = ConjunctiveQuery(digraph(["x", "y"], [("x", "y")]), ())
     b_yes = digraph("uv", [("u", "v")])
     b_no = digraph("uv", [])
-    comp = s_components(hypergraph_of(q))[0]
-    assert component_projection(q, b_yes, comp) == ((), frozenset({()}))
-    assert component_projection(q, b_no, comp) == ((), frozenset())
+    assert component_projection(q, b_yes) == ((), frozenset({()}))
+    assert component_projection(q, b_no) == ((), frozenset())
 
 
 def test_component_projection_distance_two():
     q = ConjunctiveQuery(
         digraph(["s1", "q", "s2"], [("s1", "q"), ("q", "s2")]), ("s1", "s2"))
     cycle = digraph("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
-    comp = s_components(hypergraph_of(q))[0]
-    scope, rows = component_projection(q, cycle, comp)
+    scope, rows = component_projection(q, cycle)
     assert scope == ("s1", "s2")
     expected = {
         (u, v)
@@ -101,15 +104,14 @@ def test_component_projection_distance_two():
 def test_component_projection_budget_is_the_enumeration_cap():
     star = quantified_star_query(3)
     b = digraph("uvw", [("u", "u"), ("u", "v"), ("w", "w")])
-    comp = s_components(hypergraph_of(star))[0]
     over = CountingConfig(hom=HomSearchConfig(enumeration_cap=3 ** 3 - 1))
     with pytest.raises(ResourceBudgetError, match="enumeration cap"):
-        component_projection(star, b, comp, over)
+        component_projection(star, b, over)
     exact = CountingConfig(hom=HomSearchConfig(enumeration_cap=3 ** 3))
-    scope, rows = component_projection(star, b, comp, exact)
+    scope, rows = component_projection(star, b, exact)
     assert scope == ("s1", "s2", "s3")
     assert rows == frozenset(product("uv", repeat=3)) | {("w", "w", "w")}
-    assert component_projection(star, b, comp) == (scope, rows)
+    assert component_projection(star, b) == (scope, rows)
 
 
 def test_contract_instance_quantifier_free_is_identity():

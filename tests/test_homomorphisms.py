@@ -5,9 +5,14 @@ from itertools import product
 import pytest
 from conftest import (
     all_maps,
+    are_isomorphic,
     digraph,
+    hom_equivalent,
+    induced_substructure,
     naive_answer_set,
     naive_homomorphisms,
+    pinned_solutions,
+    relabel,
     structure,
     undirected,
 )
@@ -17,15 +22,12 @@ from cqcount import (
     HomSearchConfig,
     InputError,
     ResourceBudgetError,
-    are_isomorphic,
+    automorphisms,
     count_answers_brute,
     enumerate_answers,
-    find_extension,
     free_automorphism_set,
-    hom_equivalent,
     hom_exists,
     is_homomorphism,
-    iter_homomorphisms,
     parse_query,
 )
 from cqcount.generators import (
@@ -35,15 +37,18 @@ from cqcount.generators import (
     random_vocabulary,
 )
 from cqcount.homomorphisms import _HomSearch, _is_forest, _search
-from cqcount.structures import induced_substructure
 
 TRIANGLE = digraph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 EDGE_Q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x", "y"))
 
 
+def first_homomorphism(a, b, cfg=HomSearchConfig()):
+    return next(_search(a, b, cfg).solutions(), None)
+
+
 def test_find_extension_basic():
     single = digraph("xy", [("x", "y")])
-    h = find_extension(single, TRIANGLE)
+    h = first_homomorphism(single, TRIANGLE)
     assert h is not None
     assert is_homomorphism(single, TRIANGLE, h)
     # a map that misses or adds a source element, or leaves the target
@@ -55,43 +60,29 @@ def test_find_extension_basic():
 def test_triangle_into_bipartite_cycle_absent():
     triangle = undirected("abc", [("a", "b"), ("b", "c"), ("c", "a")])
     c4 = undirected("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
-    assert find_extension(triangle, c4) is None
+    assert first_homomorphism(triangle, c4) is None
     # exhaustive oracle over all 4^3 maps
     assert not any(is_homomorphism(triangle, c4, h)
                    for h in all_maps(triangle.domain, c4.domain))
 
 
 def test_total_valid_partial_returned_unchanged():
+    # Every variable pinned: the search only checks the pins' constraints.
     single = digraph("xy", [("x", "y")])
+    search = _search(single, TRIANGLE)
     partial = {"x": "b", "y": "c"}
-    assert find_extension(single, TRIANGLE, partial) == partial
-    assert find_extension(single, TRIANGLE, {"x": "b", "y": "a"}) is None
-
-
-def test_partial_validation():
-    single = digraph("xy", [("x", "y")])
-    with pytest.raises(InputError):
-        find_extension(single, TRIANGLE, {"zz": "a"})
-    with pytest.raises(InputError):
-        find_extension(single, TRIANGLE, {"x": "nope"})
-
-
-@pytest.mark.parametrize("partial", [{"x": []}, {"x": 1}, {1: "a", "y": "b"}],
-                         ids=["list-value", "int-value", "int-variable"])
-def test_partial_must_map_strings_to_strings(partial):
-    single = digraph("xy", [("x", "y")])
-    with pytest.raises(InputError, match="must be strings"):
-        find_extension(single, TRIANGLE, partial)
+    assert list(pinned_solutions(search, partial)) == [partial]
+    assert list(pinned_solutions(search, {"x": "b", "y": "a"})) == []
 
 
 def test_vocabulary_mismatch():
     single = digraph("xy", [("x", "y")])
     other = structure({"F": 2}, "ab", {"F": {("a", "b")}})
     with pytest.raises(InputError):
-        find_extension(single, other)
+        first_homomorphism(single, other)
     wrong_arity = structure({"E": 3}, "ab", {})
     with pytest.raises(InputError):
-        find_extension(single, wrong_arity)
+        first_homomorphism(single, wrong_arity)
 
 
 def test_hom_exists_examples():
@@ -140,7 +131,7 @@ def test_found_homomorphisms_pass_independent_check():
         vocab = random_vocabulary(rng)
         a = random_structure(rng, vocab, max_elements=4)
         b = random_structure(rng, vocab, max_elements=4)
-        h = find_extension(a, b)
+        h = first_homomorphism(a, b)
         if h is not None:
             assert is_homomorphism(a, b, h)
 
@@ -152,8 +143,8 @@ def test_composition_closure():
         a = random_structure(rng, vocab, max_elements=3)
         b = random_structure(rng, vocab, max_elements=3)
         c = random_structure(rng, vocab, max_elements=3)
-        h1 = find_extension(a, b)
-        h2 = find_extension(b, c)
+        h1 = first_homomorphism(a, b)
+        h2 = first_homomorphism(b, c)
         if h1 is not None and h2 is not None:
             assert is_homomorphism(a, c, {v: h2[h1[v]] for v in a.domain})
 
@@ -194,9 +185,14 @@ def test_free_automorphisms_form_a_group():
 
 
 def test_iter_homomorphisms_injective_and_isomorphism():
+    # automorphisms searches injectively; the isomorphism cases check the
+    # search-free oracle in conftest.
     square = undirected("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    autos = list(iter_homomorphisms(square, square, injective=True))
+    autos = automorphisms(square)
     assert len(autos) == 8  # dihedral group of the 4-cycle
+    assert {frozenset(h.items()) for h in autos} == {
+        frozenset(h.items()) for h in naive_homomorphisms(square, square)
+        if len(set(h.values())) == 4}
     renamed = undirected("wxyz", [("w", "x"), ("x", "y"), ("y", "z"), ("z", "w")])
     assert are_isomorphic(square, renamed)
     p4 = undirected("wxyz", [("w", "x"), ("x", "y"), ("y", "z")])
@@ -205,6 +201,24 @@ def test_iter_homomorphisms_injective_and_isomorphism():
     assert not are_isomorphic(square, undirected("abc", [("a", "b"), ("b", "c")]))
     assert not are_isomorphic(square, structure({"E": 2, "U": 1}, "abcd",
                                                 {"E": square.tuples("E")}))
+
+
+def test_isomorphism_oracle_matches_all_bijections():
+    # Against every bijection, checked both ways with is_homomorphism; half
+    # the targets are relabelled copies, so both verdicts occur.
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(150):
+        vocab = random_vocabulary(rng)
+        a = random_structure(rng, vocab, max_elements=4)
+        b = relabel(a, rng) if rng.random() < 0.5 else random_structure(rng, vocab, max_elements=4)
+        want = len(a.domain) == len(b.domain) and any(
+            len(set(h.values())) == len(a.domain) and is_homomorphism(a, b, h)
+            and is_homomorphism(b, a, {v: k for k, v in h.items()})
+            for h in all_maps(a.domain, b.domain))
+        assert are_isomorphic(a, b) == want
+        verdicts.add(want)
+    assert verdicts == {False, True}
 
 
 def test_zero_ary_constraints():
@@ -255,7 +269,7 @@ def test_budgets_raise_distinct_errors():
     k4 = undirected("abcd", [(u, v) for u in "abcd" for v in "abcd" if u < v])
     k3 = undirected("xyz", [("x", "y"), ("y", "z"), ("x", "z")])
     with pytest.raises(ResourceBudgetError):
-        find_extension(k4, k3, cfg=HomSearchConfig(node_budget=2))
+        first_homomorphism(k4, k3, HomSearchConfig(node_budget=2))
     q = ConjunctiveQuery(k4, tuple("abcd"))
     with pytest.raises(ResourceBudgetError):
         count_answers_brute(q, k3, HomSearchConfig(enumeration_cap=10))
@@ -373,8 +387,8 @@ def test_answers_walk_the_arc_consistent_domains(monkeypatch):
 
 
 def test_pinned_homomorphisms_match_independent_oracle(monkeypatch):
-    # iter_homomorphisms(partial=...) as a set, plain and injective, and a
-    # pinned search that avoids a target value, against naive enumeration.
+    # Pinned searches as a set, plain and injective, and a pinned search
+    # that avoids a target value, against naive enumeration.
     rng = random.Random(62)
     shapes = _Shapes(monkeypatch)
     for _ in range(400):
@@ -390,7 +404,7 @@ def test_pinned_homomorphisms_match_independent_oracle(monkeypatch):
         want = naive(b)
         for injective in (False, True):
             got = [frozenset(h.items())
-                   for h in iter_homomorphisms(a, b, partial=pins, injective=injective)]
+                   for h in pinned_solutions(_search(a, b), pins, injective)]
             assert len(got) == len(set(got))
             assert set(got) == {h for h in want
                                 if not injective or len(set(dict(h).values())) == len(h)}
@@ -398,7 +412,7 @@ def test_pinned_homomorphisms_match_independent_oracle(monkeypatch):
             continue
         avoided = rng.choice(b.domain)
         view = _search(a, b).avoiding(avoided)
-        got = {frozenset(h.items()) for h in view.solutions(pins)}
+        got = {frozenset(h.items()) for h in pinned_solutions(view, pins)}
         assert got == naive(induced_substructure(b, set(b.domain) - {avoided}))
     shapes.assert_all_seen()
 
@@ -434,7 +448,7 @@ def _least_budget(a, b, pins, injective):
     """The least ``node_budget`` under which listing the homomorphisms does not raise."""
     def runs(budget):
         try:
-            list(iter_homomorphisms(a, b, HomSearchConfig(node_budget=budget), pins, injective))
+            list(pinned_solutions(_search(a, b, HomSearchConfig(node_budget=budget)), pins, injective))
         except ResourceBudgetError:
             return False
         return True
@@ -466,10 +480,10 @@ def test_search_order_and_node_counts_do_not_drift():
         shapes["unary_atom"] += bool(a.tuples("U"))
         shapes["repeated_variable"] += any(len(set(t)) < len(t) for _, t in a.atoms())
         pins = {v: rng.choice(b.domain) for v in sorted(rng.sample(a.domain, rng.randint(1, 2)))}
-        for partial in (None, pins):
+        for partial in ({}, pins):
             for injective in (False, True):
                 got = [tuple(sorted(h.items()))
-                       for h in iter_homomorphisms(a, b, partial=partial, injective=injective)]
+                       for h in pinned_solutions(_search(a, b), partial, injective)]
                 budget = _least_budget(a, b, partial, injective)
                 digest.update(repr((got, budget)).encode())
                 budgets += budget

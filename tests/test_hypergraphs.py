@@ -14,11 +14,9 @@ from cqcount import (
     SHypergraph,
     TreeDecomposition,
     Vocabulary,
-    are_isomorphic,
     augment,
     blowup,
     classify,
-    component_projection,
     contract,
     contract_instance,
     core_of_query,
@@ -27,11 +25,9 @@ from cqcount import (
     count_quantifier_free_td,
     decompose,
     enumerate_answers,
-    exact_treewidth,
     free_automorphism_set,
     hom_exists,
     hypergraph_of,
-    induced_substructure,
     is_core,
     is_homomorphism,
     lift_to_hypergraph,
@@ -50,6 +46,7 @@ from cqcount import (
 )
 from cqcount.generators import random_query
 from cqcount.hypergraphs import SComponent
+from cqcount.treewidth import _exact_elimination
 
 
 def shg(vertices, edges, s):
@@ -80,7 +77,6 @@ def test_constructors_reject_malformed_input(build, message):
 _Q = ConjunctiveQuery(digraph("xy", [("x", "y")]), ("x",))
 _G = Graph(("a",), frozenset())
 _H = hypergraph_of(_Q)
-_COMP = s_components(_H)[0]
 _QF = ConjunctiveQuery(_Q.structure, ("x", "y"))
 _TD = decompose(primal_graph(hypergraph_of(_QF)))
 # Three one-vertex bags and a tree edge with three ends.
@@ -111,10 +107,6 @@ _TRIPLE_EDGE = TreeDecomposition((frozenset("a"),) * 3, frozenset({(0, 1, 2)}), 
     (lambda: contract_instance(_Q, 1), "RelationalStructure"),
     (lambda: structure_to_dict(1), "RelationalStructure"),
     (lambda: CountingConfig(hom=None), "HomSearchConfig"),
-    (lambda: component_projection(None, _Q.structure, _COMP), "ConjunctiveQuery"),
-    (lambda: component_projection(_Q, 42, _COMP), "RelationalStructure"),
-    (lambda: component_projection(_Q, _Q.structure, None), "SComponent"),
-    (lambda: component_projection(_Q, _Q.structure, _COMP, cfg=42), "CountingConfig"),
     (lambda: count_quantifier_free_td(None, _Q.structure, _TD), "ConjunctiveQuery"),
     (lambda: count_quantifier_free_td(_QF, 42, _TD), "RelationalStructure"),
     (lambda: count_quantifier_free_td(_QF, _Q.structure, _TD, cfg=None), "CountingConfig"),
@@ -122,15 +114,11 @@ _TRIPLE_EDGE = TreeDecomposition((frozenset("a"),) * 3, frozenset({(0, 1, 2)}), 
     (lambda: lift_to_hypergraph(_Q, _Q.structure, _H, cfg=42), "HomSearchConfig"),
     (lambda: is_homomorphism(None, _Q.structure, {}), "RelationalStructure"),
     (lambda: is_homomorphism(_Q.structure, 42, {"x": "x", "y": "y"}), "RelationalStructure"),
-    (lambda: are_isomorphic(None, _Q.structure), "RelationalStructure"),
-    (lambda: are_isomorphic(_Q.structure, 42), "RelationalStructure"),
     (lambda: free_automorphism_set(None), "ConjunctiveQuery"),
-    (lambda: induced_substructure(42, ()), "RelationalStructure"),
     (lambda: augment(None), "ConjunctiveQuery"),
     (lambda: star_structure(42), "RelationalStructure"),
     (lambda: pin_relation_names(None), "RelationalStructure"),
     (lambda: is_homomorphism(_Q.structure, _Q.structure, 42), "Mapping"),
-    (lambda: induced_substructure(_Q.structure, 42), "Iterable"),
     (lambda: parse_query(42), "str"),
     (lambda: Vocabulary("x"), "Mapping"),
     (lambda: RelationalStructure("x", "x", "x"), "Vocabulary"),
@@ -151,14 +139,12 @@ _TRIPLE_EDGE = TreeDecomposition((frozenset("a"),) * 3, frozenset({(0, 1, 2)}), 
         "verify-td", "core_of_structure", "is_core", "core_of_query", "core_of_query-cfg",
         "pair_structure", "blowup", "render_query", "enumerate_answers", "hom_exists",
         "contract_instance", "structure_to_dict", "counting-config-hom",
-        "component_projection-q", "component_projection-dst",
-        "component_projection-comp", "component_projection-cfg",
         "count_quantifier_free_td-q", "count_quantifier_free_td-dst",
         "count_quantifier_free_td-cfg", "lift_to_hypergraph-b",
         "lift_to_hypergraph-cfg", "is_homomorphism-src", "is_homomorphism-dst",
-        "are_isomorphic-a", "are_isomorphic-b", "free_automorphism_set",
-        "induced_substructure", "augment", "star_structure", "pin_relation_names",
-        "is_homomorphism-mapping", "induced_substructure-keep", "parse_query",
+        "free_automorphism_set",
+        "augment", "star_structure", "pin_relation_names",
+        "is_homomorphism-mapping", "parse_query",
         "Vocabulary", "RelationalStructure", "ConjunctiveQuery", "Graph", "SHypergraph",
         "blowup-all", "solve_vandermonde-none", "solve_vandermonde-nodes",
         "Graph-edge", "SHypergraph-edge", "RelationalStructure-tuples",
@@ -406,4 +392,4 @@ def test_quantifier_free_contract_treewidth_self_consistency():
         h = hypergraph_of(q)
         qf = SHypergraph(h.vertices, h.edges, frozenset(h.vertices))
         restricted = primal_graph(qf)
-        assert exact_treewidth(primal_graph(contract(qf))) == exact_treewidth(restricted)
+        assert _exact_elimination(primal_graph(contract(qf)))[1] == _exact_elimination(restricted)[1]

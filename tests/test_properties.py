@@ -14,7 +14,7 @@ import warnings
 from itertools import product
 
 import pytest
-from conftest import naive_answer_set
+from conftest import induced_substructure, naive_answer_set
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from cqcount import (
     Vocabulary,
     core_of_query,
     count_answers,
-    induced_substructure,
     is_homomorphism,
     structure_to_dict,
 )

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import digraph, structure
+from conftest import are_isomorphic, digraph, structure
 
 from cqcount import (
     ConjunctiveQuery,
@@ -13,7 +13,6 @@ from cqcount import (
     ResourceBudgetError,
     SHypergraph,
     Vocabulary,
-    are_isomorphic,
     blowup,
     contract,
     count_answers,

@@ -2,8 +2,9 @@
 
 ``sqlite_oracle`` shares no code with the library. It is first checked
 against the naive oracle on small instances, then compared with
-``count_answers`` on projected stars and paths over random digraphs with
-100 to 200 vertices and on random instances.
+``count_answers``, in auto and structural mode, on projected stars and
+paths over random digraphs with 100 to 200 vertices, on random instances,
+and on instances with 3- and 4-ary relations.
 """
 
 import random
@@ -12,8 +13,10 @@ import pytest
 from conftest import naive_answer_set, structure
 from sqlite_oracle import count_answers_sql
 
-from cqcount import ConjunctiveQuery, count_answers, parse_query
+from cqcount import ConjunctiveQuery, CountingConfig, count_answers, parse_query
 from cqcount.generators import quantified_star_query, random_instance
+
+STRUCTURAL = CountingConfig(mode="structural")
 
 
 def _random_digraph(n, seed):
@@ -71,6 +74,8 @@ def test_projections_match_sqlite(query, n):
     want = count_answers_sql(query, db)
     assert want > n  # projections that keep many rows
     assert count_answers(query, db) == want
+    if n == 100:
+        assert count_answers(query, db, STRUCTURAL) == want
 
 
 def test_random_instances_match_sqlite():
@@ -82,7 +87,41 @@ def test_random_instances_match_sqlite():
         q, b = random_instance(rng, max_vars=7, max_free=4, max_atoms=6, max_target=12)
         want = count_answers_sql(q, b)
         assert count_answers(q, b) == want
+        assert count_answers(q, b, STRUCTURAL) == want
         if len(b.domain) ** len(q.structure.domain) <= 4096:
             assert len(naive_answer_set(q, b)) == want
             checked += 1
     assert checked >= 50
+
+
+def test_high_arity_instances_match_sqlite():
+    # Random instances whose vocabularies draw arities up to 4.
+    rng = random.Random(152)
+    arities = set()
+    for _ in range(100):
+        q, b = random_instance(rng, max_vars=6, max_free=3, max_atoms=5, max_target=6, max_arity=4)
+        arities.update(q.structure.vocabulary.symbols.values())
+        want = count_answers_sql(q, b)
+        assert count_answers(q, b) == want
+        assert count_answers(q, b, STRUCTURAL) == want
+    assert {3, 4} <= arities
+
+
+@pytest.mark.parametrize("query", [
+    "answer(x,w) :- T(x,y,z), R(y,z,w,u).",
+    "answer(x,y,z) :- T(x,y,z), R(x,y,u,v).",
+    "answer(x,u) :- T(x,y,z), R(y,z,u,v), T(u,v,w).",
+    "answer(y,u) :- T(x,y,z), R(x,z,u,x).",
+], ids=["shared-pair", "free-triple", "chain", "repeated-variable"])
+def test_ternary_and_quaternary_relations_match_sqlite(query):
+    # 600 random rows each over 30 elements: too many maps for brute force.
+    rng = random.Random(153)
+    elements = [f"n{i}" for i in range(30)]
+    rows = {name: {tuple(rng.choice(elements) for _ in range(arity)) for _ in range(600)}
+            for name, arity in (("T", 3), ("R", 4))}
+    db = structure({"T": 3, "R": 4}, elements, rows)
+    q = parse_query(query)
+    want = count_answers_sql(q, db)
+    assert want > 0
+    assert count_answers(q, db) == want
+    assert count_answers(q, db, STRUCTURAL) == want

@@ -7,7 +7,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from conftest import digraph, structure
+from conftest import digraph, induced_substructure, structure
 
 from cqcount import (
     ConjunctiveQuery,
@@ -17,7 +17,6 @@ from cqcount import (
     Vocabulary,
     augment,
     classify,
-    induced_substructure,
     parse_query,
     pin_relation_names,
     star_structure,
@@ -118,7 +117,7 @@ def test_induced_substructure_examples():
     assert empty.domain == ()
     assert empty.tuples("E") == frozenset()
 
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         induced_substructure(a, ["a", "nope"])
 
 

@@ -4,13 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from cqcount import Graph, decompose, exact_treewidth, verify_decomposition
+from cqcount import Graph, decompose, verify_decomposition
 from cqcount.errors import InputError
 from cqcount.treewidth import (
     EXACT,
     UPPER_BOUND,
     DecompositionError,
     TreeDecomposition,
+    _exact_elimination,
     _minor_min_width,
     decomposition_from_order,
 )
@@ -67,21 +68,21 @@ def brute_force_elimination_width(g):
 
 def test_exact_treewidth_known_values():
     tree = graph("abcde", [("a", "b"), ("a", "c"), ("c", "d"), ("c", "e")])
-    assert exact_treewidth(tree) == 1
+    assert _exact_elimination(tree)[1] == 1
     for n in (3, 5, 8):
         vs = [f"c{i}" for i in range(n)]
         cycle = graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
-        assert exact_treewidth(cycle) == 2
+        assert _exact_elimination(cycle)[1] == 2
     for k in range(2, 11):
-        assert exact_treewidth(clique(k)) == k - 1
-    assert exact_treewidth(grid(3)) == 3
-    assert exact_treewidth(grid(4)) == 4
+        assert _exact_elimination(clique(k))[1] == k - 1
+    assert _exact_elimination(grid(3))[1] == 3
+    assert _exact_elimination(grid(4))[1] == 4
 
 
 def test_exact_treewidth_degenerate():
-    assert exact_treewidth(graph([], [])) == -1
-    assert exact_treewidth(graph("a", [])) == 0
-    assert exact_treewidth(graph("ab", [])) == 0
+    assert _exact_elimination(graph([], []))[1] == -1
+    assert _exact_elimination(graph("a", []))[1] == 0
+    assert _exact_elimination(graph("ab", []))[1] == 0
 
 
 def test_exact_treewidth_matches_elimination_brute_force():
@@ -89,14 +90,12 @@ def test_exact_treewidth_matches_elimination_brute_force():
     rng = random.Random(20)
     for _ in range(20):
         g = random_graph(rng, max_n=7)
-        assert exact_treewidth(g) == brute_force_elimination_width(g)
+        assert _exact_elimination(g)[1] == brute_force_elimination_width(g)
 
 
 def test_exact_treewidth_limit():
-    with pytest.raises(InputError):
-        exact_treewidth(clique(17))
     td = decompose(clique(3))
-    for call in (exact_treewidth, decompose, lambda obj: verify_decomposition(obj, td)):
+    for call in (decompose, lambda obj: verify_decomposition(obj, td)):
         for obj in (("a", "b"), ["a"]):
             with pytest.raises(InputError, match=f"expected a Graph, got {type(obj).__name__}"):
                 call(obj)
@@ -124,7 +123,7 @@ def test_decompose_width_dominates_exact():
     rng = random.Random(21)
     for _ in range(30):
         g = random_graph(rng, max_n=9)
-        exact = exact_treewidth(g)
+        exact = _exact_elimination(g)[1]
         assert decompose(g).width == exact
         heuristic = decompose(g, exact_threshold=0) if g.vertices else decompose(g)
         assert heuristic.width >= exact
@@ -269,7 +268,7 @@ def test_minor_min_width_is_a_lower_bound():
     tight = 0
     for _ in range(200):
         g = random_graph(rng, max_n=10, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
-        exact = exact_treewidth(g)
+        exact = _exact_elimination(g)[1]
         bound = _minor_min_width(g)
         assert bound <= exact
         tight += bound == exact
