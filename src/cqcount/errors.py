@@ -1,5 +1,6 @@
 """Exception types shared across the library, and the argument checks
-``_check_int`` and ``_require``: they echo a bad value's ``reprlib.repr`` or type.
+``_check_int``, ``_require`` and ``_hashable_items``: they echo a bad value's
+``reprlib.repr`` or type.
 
 The command line maps these onto exit codes: InputError -> 1,
 ResourceBudgetError -> 2. InternalError signals a bug in the library
@@ -7,6 +8,7 @@ itself and is never caught.
 """
 
 import reprlib
+from collections import abc
 from typing import Optional
 
 
@@ -47,3 +49,14 @@ def _require(value: object, cls: type):
     if isinstance(value, cls):
         return value
     raise InputError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
+def _hashable_items(value: object, name: str) -> tuple:
+    """The items of ``value`` as a tuple, or InputError unless it is iterable and each item hashes."""
+    items = tuple(_require(value, abc.Iterable))
+    for item in items:
+        try:
+            hash(item)
+        except TypeError:
+            raise InputError(f"{name} must be hashable, got {reprlib.repr(item)}") from None
+    return items

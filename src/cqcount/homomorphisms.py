@@ -13,15 +13,16 @@ that shrinks is rebuilt, from its sorted list. Sets of supported values
 are only tested, never iterated, so the string hash seed reaches no domain
 or order. Variables share one sorted list of the target's values until a
 revision shrinks theirs. Pinned variables are set first, all at once,
-and the constraints among them checked in one pass; the others follow in
+and the constraints among them checked together; the others follow in
 a static order (smallest domain first), values in sorted order, so every
 result is deterministic. In a pinned search each later variable draws its
 values from a support index of one constraint over variables already set.
-Each plan compiles its later variables' checks once: a constraint of two
+Every check has one form, compiled once per plan: a constraint of two
 or more variables becomes its rows and an ``operator.itemgetter`` over its
-scope, so a node tests it with one call and one set lookup. A constraint
-of one variable is never checked there, since the root revision already
-keeps the variable's domain inside it.
+scope, so the pins or a node test it with one call and one set lookup. A
+constraint of one variable is never checked, since the root revision
+already keeps the variable's domain inside it and every value, pinned or
+tried, is drawn from that domain.
 Brute-force answer counting plans once and pins each tuple of the free
 variables' arc-consistent domains in turn. Counts use Python integers and
 are never approximated; running out of budget raises, it does not round.
@@ -46,7 +47,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceBudgetError, _check_int, _require
+from .errors import InputError, ResourceBudgetError, _check_int, _hashable_items, _require
 from .structures import Assignment, ConjunctiveQuery, RelationalStructure
 
 
@@ -114,12 +115,12 @@ def _atom_factor(t: tuple, table: Collection[tuple]) -> Tuple[tuple, Collection[
 
 
 def _compile(checks: List[tuple]) -> List[tuple]:
-    """A step's ``(rows, scope)`` checks as ``(rows, getter)`` pairs.
+    """``(rows, scope)`` checks as ``(rows, getter)`` pairs, for the pins or one step.
 
     ``getter(assign)`` is the tuple of the scope's values. A check on one
     variable is left out: the root revision keeps each domain inside its
-    variable's one-variable constraints, and every candidate is drawn from
-    the domain.
+    variable's one-variable constraints, and every pin and candidate is
+    drawn from the domain.
     """
     return [(rows, itemgetter(*scope)) for rows, scope in checks if len(scope) > 1]
 
@@ -127,13 +128,13 @@ def _compile(checks: List[tuple]) -> List[tuple]:
 class _Plan(NamedTuple):
     """How a search sets its variables, for one tuple of pinned variables.
 
-    ``pinned`` are set first, and ``pin_checks`` holds the constraints
-    among them; the caller keeps each pin inside its domain. Each later
-    variable has one step ``(variable, candidates, key, triggers)``: its
-    sorted domain, or a support index that ``key`` looks up in the
-    assignment, and the constraints whose last variable it is. A pin check
-    is a ``(rows, scope)`` pair, a step's check a ``(rows, getter)`` pair
-    from ``_compile``.
+    ``pinned`` are set first, and ``pin_checks`` holds the constraints of
+    two or more variables among them; the caller keeps each pin inside its
+    domain. Each later variable has one step ``(variable, candidates, key,
+    triggers)``: its sorted domain, or a support index that ``key`` looks
+    up in the assignment, and the constraints whose last variable it is.
+    Pin checks and a step's checks alike are ``(rows, getter)`` pairs from
+    ``_compile``.
     """
 
     pinned: Tuple[str, ...]
@@ -288,7 +289,7 @@ class _HomSearch:
             if before:
                 candidates, key = self._support_index(best, v, sorted(before))
             steps.append((v, candidates, key, _compile(triggers[i])))
-        return _Plan(pinned, [c for cs in triggers[:len(pinned)] for c in cs], steps)
+        return _Plan(pinned, _compile([c for cs in triggers[:len(pinned)] for c in cs]), steps)
 
     def _support_index(self, ci: int, v: str, before: List[str]):
         """The values constraint ``ci`` allows ``v`` given those of ``before``.
@@ -324,11 +325,12 @@ class _HomSearch:
         """The homomorphisms that give ``plan.pinned`` the values ``pins``.
 
         Nothing is checked here: the search must be feasible and each pin
-        must lie in its variable's domain.
+        must lie in its variable's domain. Each pin check is one getter call
+        and one set lookup, as a step's check is.
         """
         assign: Assignment = dict(zip(plan.pinned, pins))
-        for rows, scope in plan.pin_checks:
-            if tuple(assign[e] for e in scope) not in rows:
+        for rows, get in plan.pin_checks:
+            if get(assign) not in rows:
                 return
         used = set(pins) if injective else None
         if injective and len(used) != len(pins):
@@ -434,7 +436,8 @@ def is_homomorphism(src: RelationalStructure, dst: RelationalStructure,
     """Tuple-by-tuple check, independent of the search machinery."""
     if set(_require(mapping, abc.Mapping)) != set(_require(src, RelationalStructure).domain):
         return False
-    if not set(mapping.values()) <= set(_require(dst, RelationalStructure).domain):
+    values = _hashable_items(mapping.values(), "mapping values")
+    if not set(values) <= set(_require(dst, RelationalStructure).domain):
         return False
     for name, ts in src.relations.items():
         target = dst.tuples(name)

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import AbstractSet, Dict, Iterable, List, Tuple
 
-from .errors import InputError, ResourceBudgetError, _require
+from .errors import InputError, ResourceBudgetError, _hashable_items, _require
 from .structures import ConjunctiveQuery, _unchecked
 
 # Most free vertices per S-component: bounds the independent-set recursion.
@@ -30,7 +30,7 @@ def _edge_set(edges: Iterable, known: AbstractSet) -> frozenset:
     """``edges`` as a frozenset of frozensets; InputError for an edge outside ``known``."""
     result = []
     for e in _require(edges, abc.Iterable):
-        e = frozenset(_require(e, abc.Iterable))
+        e = frozenset(_hashable_items(e, "edge vertices"))
         if not e <= known:
             raise InputError(f"edge {sorted(e)!r} uses unknown vertices")
         result.append(e)
@@ -46,11 +46,11 @@ class SHypergraph:
     s_set: frozenset
 
     def __post_init__(self) -> None:
-        known = dict.fromkeys(_require(self.vertices, abc.Iterable)).keys()
+        known = dict.fromkeys(_hashable_items(self.vertices, "vertices")).keys()
         edges = _edge_set(self.edges, known)
         if frozenset() in edges:
             raise InputError("hypergraph edges must be non-empty")
-        s_set = frozenset(_require(self.s_set, abc.Iterable))
+        s_set = frozenset(_hashable_items(self.s_set, "the S set"))
         if not s_set <= known:
             raise InputError("the S set must be a subset of the vertices")
         object.__setattr__(self, "vertices", tuple(known))
@@ -128,7 +128,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self) -> None:
-        known = set(_require(self.vertices, abc.Iterable))
+        known = set(_hashable_items(self.vertices, "vertices"))
         edges = _edge_set(self.edges, known)
         for e in edges:
             if len(e) != 2:

@@ -39,7 +39,7 @@ from itertools import product
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .counting import _analyse, _join, _key_getter, _relation_factors
-from .errors import InputError, InternalError, ResourceBudgetError, _check_int, _require
+from .errors import InputError, InternalError, ResourceBudgetError, _check_int, _hashable_items, _require
 from .homomorphisms import (
     DEFAULT_CONFIG,
     HomSearchConfig,
@@ -122,7 +122,7 @@ def blowup(dstruct: PairDomainStructure, t_subset: Sequence[str],
     unchanged; one copy of a non-empty T yields an isomorphic renaming.
     """
     base = _require(dstruct, PairDomainStructure).structure
-    t_set = set(_require(t_subset, abc.Iterable))
+    t_set = set(_hashable_items(t_subset, "t_subset"))
     _check_int("copies", copies, 1)
     twins: Dict[str, Tuple[str, ...]] = {}
     for e in base.domain:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .errors import InputError, _check_int, _require
+from .errors import InputError, _check_int, _hashable_items, _require
 
 # User-facing relation names may not start with "__"; that prefix is
 # reserved for relations the library adds itself, all named by
@@ -182,7 +182,7 @@ class ConjunctiveQuery:
     free_vars: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        free = tuple(_require(self.free_vars, abc.Iterable))
+        free = _hashable_items(self.free_vars, "free variables")
         if len(set(free)) != len(free):
             raise InputError("free variables must not repeat")
         dom = set(_require(self.structure, RelationalStructure).domain)

@@ -2,15 +2,17 @@
 
 Each public callable gets one valid call. Replacing any one argument of it
 with a value of the wrong type or shape raises a ``CQError`` subclass with
-a short message, or nothing; never a bare Python exception. Every public
-name also has a caller outside ``tests/``, so names only tests use do not
-come back.
+a short message, or nothing; never a bare Python exception. So does
+replacing one item of a container argument, or one key or value of a
+mapping argument. Every public name also has a caller outside ``tests/``,
+so names only tests use do not come back.
 """
 
 import inspect
 import io
 import re
 import tokenize
+from collections import abc
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -121,17 +123,59 @@ def test_valid_calls_succeed(name):
     getattr(cqcount, name)(**VALID[name])
 
 
+def _call_fails_cleanly(fn, kwargs, what):
+    """Call ``fn``; a ``CQError`` with a short message or no error passes."""
+    try:
+        fn(**kwargs)
+    except CQError as exc:
+        assert len(str(exc)) < 200, (what, str(exc)[:300])
+    except Exception as exc:  # any other type is the failure
+        pytest.fail(f"{what} raised {type(exc).__name__}: {str(exc)[:200]}")
+
+
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_a_wrong_argument_raises_a_short_library_error(name):
     fn = getattr(cqcount, name)
     for param in inspect.signature(fn).parameters:
         for bad in BAD_VALUES:
-            try:
-                fn(**{**VALID[name], param: bad})
-            except CQError as exc:
-                assert len(str(exc)) < 200, (param, repr(bad)[:20], str(exc)[:300])
-            except Exception as exc:  # any other type is the failure
-                pytest.fail(f"{param}={repr(bad)[:20]} raised {type(exc).__name__}: {str(exc)[:200]}")
+            _call_fails_cleanly(fn, {**VALID[name], param: bad}, f"{param}={repr(bad)[:20]}")
+
+
+def _item_replacements(value):
+    """``(where, bad, new value)`` for each bad value put into the container ``value``.
+
+    A mapping gets one key and, separately, that key's value replaced; an
+    unhashable bad value cannot be a key and is skipped there. A list or
+    tuple gets its first item replaced. A set cannot hold an unhashable
+    item, so it is passed as a tuple of its items, the smallest by ``repr``
+    replaced. Strings and empty containers have no item to replace.
+    """
+    if isinstance(value, abc.Mapping) and value:
+        key = min(value, key=repr)
+        for bad in BAD_VALUES:
+            if isinstance(bad, abc.Hashable):
+                yield "key", bad, {(bad if k == key else k): v for k, v in value.items()}
+            yield "value", bad, {k: (bad if k == key else v) for k, v in value.items()}
+    elif isinstance(value, (list, tuple)) and value:
+        for bad in BAD_VALUES:
+            yield "item", bad, type(value)([bad, *value[1:]])
+    elif isinstance(value, (set, frozenset)) and value:
+        items = sorted(value, key=repr)
+        for bad in BAD_VALUES:
+            yield "item", bad, (bad, *items[1:])
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_a_wrong_item_raises_a_short_library_error(name):
+    fn = getattr(cqcount, name)
+    replaced = 0
+    for param, value in VALID[name].items():
+        for where, bad, new in _item_replacements(value):
+            replaced += 1
+            _call_fails_cleanly(fn, {**VALID[name], param: new}, f"{param} {where}={repr(bad)[:20]}")
+    # The sweep reaches the containers it is meant for.
+    if name in ("ConjunctiveQuery", "Graph", "SHypergraph", "blowup", "is_homomorphism"):
+        assert replaced, name
 
 
 def _names_used(path):

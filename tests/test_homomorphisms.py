@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from conftest import (
@@ -23,6 +23,7 @@ from cqcount import (
     InputError,
     ResourceBudgetError,
     automorphisms,
+    count_answers,
     count_answers_brute,
     enumerate_answers,
     free_automorphism_set,
@@ -417,6 +418,45 @@ def test_pinned_homomorphisms_match_independent_oracle(monkeypatch):
     shapes.assert_all_seen()
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_all_free_clique_into_a_looped_triangle(k):
+    # K_k maps into K3 plus a loop at a iff at most one vertex goes to b and
+    # at most one to c: 1 + 2k + k(k - 1) = k^2 + k + 1 answers. With every
+    # variable free, brute force checks each edge among the pins only.
+    variables = [f"x{i}" for i in range(k)]
+    q = ConjunctiveQuery(undirected(variables, combinations(variables, 2)), tuple(variables))
+    b = digraph("abc", [(u, v) for u in "abc" for v in "abc" if u != v or u == "a"])
+    want = k * k + k + 1
+    assert count_answers_brute(q, b) == want
+    assert len(enumerate_answers(q, b)) == want
+    assert count_answers(q, b) == want
+
+
+def test_pin_checks_match_independent_oracle():
+    # Brute-force counting sets every free variable at once and tests the
+    # atoms among them before any search. Here free variables carry unary
+    # atoms and E(x,x)-style atoms (left to the domains), ternary atoms over
+    # two or more of them (compiled checks), 0-ary atoms and atoms whose
+    # relation is empty in the target.
+    rng = random.Random(63)
+    seen = dict.fromkeys(["unary_atom", "loop_atom", "ternary_atom", "zero_ary_atom",
+                          "empty_relation"], 0)
+    for _ in range(300):
+        a, b = _oracle_instance(rng)
+        free = tuple(rng.sample(a.domain, rng.randint(1, len(a.domain))))
+        q = ConjunctiveQuery(a, free)
+        want = sorted(naive_answer_set(q, b))
+        assert count_answers_brute(q, b) == len(want)
+        assert enumerate_answers(q, b) == want
+        among = [(name, t) for name, t in a.atoms() if set(t) <= set(free)]
+        seen["unary_atom"] += any(name == "U" for name, _ in among)
+        seen["loop_atom"] += any(name == "E" and t[0] == t[1] for name, t in among)
+        seen["ternary_atom"] += any(name == "T" and len(set(t)) > 1 for name, t in among)
+        seen["zero_ary_atom"] += any(name == "Z" for name, _ in among)
+        seen["empty_relation"] += any(not b.tuples(name) for name, _ in among)
+    assert all(seen.values()), seen
+
+
 def test_node_budget_counts_pin_sets_and_candidates():
     # One node per pin set, one per candidate centre tried.
     q = quantified_star_query(3)
@@ -468,8 +508,8 @@ def _least_budget(a, b, pins, injective):
 def test_search_order_and_node_counts_do_not_drift():
     # Solutions in canonical order and the least sufficient node budget of
     # unpinned and pinned searches, plain and injective, against values
-    # recorded before step checks were compiled to getters. A getter that
-    # reads the wrong positions changes the solutions.
+    # recorded before step and pin checks were compiled to getters. A getter
+    # that reads the wrong positions changes the solutions.
     rng = random.Random(71)
     digest = hashlib.sha256()
     budgets = solutions = 0

@@ -156,6 +156,13 @@ def test_wrong_typed_arguments_are_input_errors(call, expected):
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize("make", [Graph, lambda v, e: SHypergraph(v, e, ())], ids=["Graph", "SHypergraph"])
+def test_an_unhashable_edge_vertex_is_an_input_error(make):
+    # the boundary test replaces whole edges; this replaces a vertex inside one
+    with pytest.raises(InputError, match=r"^edge vertices must be hashable, got \[\]$"):
+        make(("a",), [[[]]])
+
+
 @pytest.mark.parametrize("path", [42, None, b"db.json"])
 def test_load_database_rejects_a_path_of_another_type(path):
     # a path may be a str or an os.PathLike, so the message names both

@@ -4,7 +4,8 @@
 against the naive oracle on small instances, then compared with
 ``count_answers``, in auto and structural mode, on projected stars and
 paths over random digraphs with 100 to 200 vertices, on random instances,
-and on instances with 3- and 4-ary relations.
+and on instances with 3- and 4-ary relations, and with
+``count_answers_brute`` on all-free queries too large for the naive oracle.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 from conftest import naive_answer_set, structure
 from sqlite_oracle import count_answers_sql
 
-from cqcount import ConjunctiveQuery, CountingConfig, count_answers, parse_query
+from cqcount import ConjunctiveQuery, CountingConfig, count_answers, count_answers_brute, parse_query
 from cqcount.generators import quantified_star_query, random_instance
 
 STRUCTURAL = CountingConfig(mode="structural")
@@ -125,3 +126,28 @@ def test_ternary_and_quaternary_relations_match_sqlite(query):
     assert want > 0
     assert count_answers(q, db) == want
     assert count_answers(q, db, STRUCTURAL) == want
+
+
+@pytest.mark.parametrize("n, size", [(4, 6), (4, 10), (5, 7), (5, 8), (6, 6)])
+def test_all_free_brute_counts_match_sqlite(n, size):
+    # With every variable free, brute force pins all of them at once and
+    # tests each atom among the pins. The naive oracle would check up to
+    # |D|^n = 46,656 maps per instance here.
+    rng = random.Random(154 + 10 * n + size)
+    symbols = {"U": 1, "E": 2, "T": 3}
+    variables = [f"v{i}" for i in range(n)]
+    elements = [f"b{i}" for i in range(size)]
+    positive = 0
+    for _ in range(4):
+        atoms = {name: {tuple(rng.choice(variables) for _ in range(arity))
+                        for _ in range(rng.randint(1, n - 2))}
+                 for name, arity in symbols.items()}
+        rows = {name: {tuple(rng.choice(elements) for _ in range(arity))
+                       for _ in range(round(rng.uniform(0.4, 0.8) * size ** arity))}
+                for name, arity in symbols.items()}
+        q = ConjunctiveQuery(structure(symbols, variables, atoms), tuple(variables))
+        b = structure(symbols, elements, rows)
+        want = count_answers_sql(q, b)
+        assert count_answers_brute(q, b) == want
+        positive += want > 0
+    assert positive >= 2
